@@ -50,6 +50,7 @@ __all__ = [
     "eval_group_pair_with",
     "group_pair_truth",
     "projected_expansion_size",
+    "projection_fits",
     "meets_dimension_advisory",
 ]
 
@@ -222,6 +223,10 @@ def group_pair_truth(
 # ---------------------------------------------------------------------------
 
 
+def _projection_degree(spec: GroupPredicateSpec) -> int:
+    return min(spec.d, int(degree_bound(spec.d, inner_error_budget(spec.s))))
+
+
 def projected_expansion_size(spec: GroupPredicateSpec) -> int:
     """Upper bound on the expanded monomial count, cheap to compute.
 
@@ -229,11 +234,24 @@ def projected_expansion_size(spec: GroupPredicateSpec) -> int:
     (x_i, y_j) block pair, so one block pair contributes at most
     sum_i C(d, i) * 2^i terms; the two factors multiply.
     """
-    eps = inner_error_budget(spec.s)
-    deg = min(spec.d, int(degree_bound(spec.d, eps)))
+    deg = _projection_degree(spec)
     per_pair = sum(binom_int(spec.d, i) * (1 << i) for i in range(deg + 1))
     per_factor = spec.s**2 * per_pair + 1
     return per_factor * per_factor
+
+
+def projection_fits(spec: GroupPredicateSpec, budget: int) -> bool:
+    """``projected_expansion_size(spec) <= budget``, summing only as far as needed.
+
+    Every term of the per-pair sum is nonnegative, so once the bound over a
+    prefix of the degrees passes the budget the full bound does too.
+    """
+    per_pair = 0
+    for i in range(_projection_degree(spec) + 1):
+        per_pair += binom_int(spec.d, i) * (1 << i)
+        if (spec.s**2 * per_pair + 1) ** 2 > budget:
+            return False
+    return True
 
 
 def _substituted_block_masks(

@@ -32,11 +32,12 @@ from .hammingpoly import (
     expand_hamming_masks,
     expand_hamming_poly,
     meets_dimension_advisory,
-    projected_expansion_size,
+    projection_fits,
     sample_hamming_poly,
 )
 from .paireval import PairEvalConfig, eval_all_pairs_bits, eval_all_pairs_masks
 from .vectors import (
+    DISTANCE_BUDGET_BYTES,
     BitVector,
     Dataset,
     bit_matrix,
@@ -115,24 +116,35 @@ class NNResult:
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 
-_BLOCK = 512
+
+def _nearest_rows(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest packed row for every packed column: (row index, distance).
+
+    Ties resolve to the smallest row index: argmin keeps the first minimum
+    in a block and a later block must be strictly closer to replace it.
+    """
+    m = cols.shape[0]
+    best_i = np.zeros(m, dtype=np.int64)
+    best_d = np.full(m, np.iinfo(np.int64).max)
+    step = max(1, DISTANCE_BUDGET_BYTES // (8 * max(m, 1)))  # (m, step) int64 fits
+    for i0 in range(0, rows.shape[0], step):
+        # (column, row) orientation: argmin along the contiguous axis
+        dmat = packed_distance_matrix(cols, rows[i0 : i0 + step])
+        i = dmat.argmin(axis=1)
+        d = dmat[np.arange(m), i]
+        closer = d < best_d
+        best_i[closer] = i0 + i[closer]
+        best_d[closer] = d[closer]
+    return best_i, best_d
 
 
 def closest_pair_bruteforce(ds: Dataset) -> tuple[int, int, int]:
     """Exact minimum-distance red-blue pair, smallest indices on ties."""
     if not ds.red or not ds.blue:
         raise EmptyInputError("closest pair needs both colors nonempty")
-    rp = pack_vectors(ds.red, ds.dim)
-    bp = pack_vectors(ds.blue, ds.dim)
-    best = (ds.dim + 1, -1, -1)
-    for i0 in range(0, len(ds.red), _BLOCK):
-        dmat = packed_distance_matrix(rp[i0 : i0 + _BLOCK], bp)
-        flat = int(np.argmin(dmat))
-        i, j = divmod(flat, dmat.shape[1])
-        d = int(dmat[i, j])
-        if d < best[0]:
-            best = (d, i0 + i, j)
-    return best[1], best[2], best[0]
+    return _brute_close_pair(
+        pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim), ds.dim
+    )
 
 
 def batch_nn_bruteforce(
@@ -142,31 +154,24 @@ def batch_nn_bruteforce(
     if not db:
         raise EmptyInputError("batch NN needs a nonempty database")
     dim = db[0].dim
-    dbp = pack_vectors(db, dim)
-    entries = []
-    for q0 in range(0, len(queries), _BLOCK):
-        qp = pack_vectors(queries[q0 : q0 + _BLOCK], dim)
-        dmat = packed_distance_matrix(dbp, qp)
-        nn = np.argmin(dmat, axis=0)
-        for lj in range(dmat.shape[1]):
-            i = int(nn[lj])
-            entries.append((q0 + lj, i, int(dmat[i, lj])))
-    return NNResult(tuple(entries), {"mode": "bruteforce"})
+    nn, dist = _nearest_rows(pack_vectors(db, dim), pack_vectors(queries, dim))
+    entries = tuple((j, int(nn[j]), int(dist[j])) for j in range(len(queries)))
+    return NNResult(entries, {"mode": "bruteforce"})
 
 
 def _brute_close_pair(
     red_packed: np.ndarray, blue_packed: np.ndarray, k: int
 ) -> tuple[int, int, int] | None:
-    """Best pair at distance <= k, or None; (dist, red, blue) lexicographic."""
-    best = None
-    for i0 in range(0, red_packed.shape[0], _BLOCK):
-        dmat = packed_distance_matrix(red_packed[i0 : i0 + _BLOCK], blue_packed)
-        flat = int(np.argmin(dmat))
-        i, j = divmod(flat, dmat.shape[1])
-        d = int(dmat[i, j])
-        if d <= k and (best is None or d < best[2]):
-            best = (i0 + i, j, d)
-    return best
+    """Best pair at distance <= k, or None; (dist, red, blue) lexicographic.
+
+    Each blue's nearest red is already its smallest-index one, so the
+    lexicographic minimum over blues of (dist, red, blue) is the best pair.
+    """
+    red_of, dist = _nearest_rows(red_packed, blue_packed)
+    if not dist.size or dist.min() > k:
+        return None
+    j = np.lexsort((np.arange(dist.size), red_of, dist))[0]
+    return int(red_of[j]), int(j), int(dist[j])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def _auto_group_size(n: int, dim: int, u: float) -> int:
 
 def _fits_budget(s: int, dim: int, budget: int) -> bool:
     spec = GroupPredicateSpec(s, dim, 0)  # projection does not depend on k
-    return projected_expansion_size(spec) <= budget
+    return projection_fits(spec, budget)
 
 
 def _resolve_group_size(n: int, dim: int, cfg: ClosestPairConfig) -> tuple[int, bool]:
@@ -283,22 +288,28 @@ def _poly_close_pair(
                 pack_vectors(red, dim), pack_vectors(blue, dim), k
             )
 
-    flagged = 2 * votes > rounds
-    if not flagged.any():
+    pairs = np.argwhere(2 * votes > rounds)
+    if not len(pairs):
         return None
     red_packed = pack_vectors(red, dim)
     blue_packed = pack_vectors(blue, dim)
+    # Verify the flagged group pairs as (F, s, W) stacks; a short last group
+    # repeats its final member, which adds no new (dist, red, blue) cell.
+    # A flagged pair holds two gathered (s, W) stacks and s*s distances.
+    member = np.arange(s)
+    step = max(1, DISTANCE_BUDGET_BYTES // (8 * s * (s + 2 * red_packed.shape[1])))
     best = None
-    for gi, gj in np.argwhere(flagged):
-        r0, r1 = gi * s, min(nr, (gi + 1) * s)
-        b0, b1 = gj * s, min(nb, (gj + 1) * s)
-        dmat = packed_distance_matrix(red_packed[r0:r1], blue_packed[b0:b1])
-        flat = int(np.argmin(dmat))
-        li, lj = divmod(flat, dmat.shape[1])
-        d = int(dmat[li, lj])
-        if d > k:
-            continue  # unverified flag, discard
-        cand = (d, int(r0 + li), int(b0 + lj))
+    for f0 in range(0, len(pairs), step):
+        gi, gj = pairs[f0 : f0 + step].T
+        ridx = np.minimum(gi[:, None] * s + member, nr - 1)
+        bidx = np.minimum(gj[:, None] * s + member, nb - 1)
+        dist = packed_distance_matrix(red_packed[ridx], blue_packed[bidx])
+        f, li, lj = np.nonzero(dist <= k)  # the rest are unverified flags
+        if not len(f):
+            continue
+        d, r, b = dist[f, li, lj], ridx[f, li], bidx[f, lj]
+        w = np.lexsort((b, r, d))[0]
+        cand = (int(d[w]), int(r[w]), int(b[w]))
         if best is None or cand < best:
             best = cand
     if best is None:
@@ -421,8 +432,6 @@ def batch_nn(
     rounds = _resolve_rounds(s_group, cfg)
     max_dist = dim
 
-    table = [max_dist] * nq
-    witness = [-1] * nq
     meta = {
         "mode": "poly" if engaged else "bruteforce-fallback",
         "group_size": s_group,
@@ -431,91 +440,63 @@ def batch_nn(
         "seed": cfg.seed,
         "max_distance": max_dist,
     }
-    if engaged:
-        meta["dimension_advisory_ok"] = meets_dimension_advisory(
-            GroupPredicateSpec(s_inner, dim, 0)
-        )
-        meta["fallback_calls"] = 0
+    if not engaged:
+        # The exact oracle's level loop leaves every query at its nearest
+        # database vector, smallest index on ties; only a query whose
+        # nearest vector is at distance dim, which no level below dim
+        # matches, is left to the unmatched scan, with the same answer.
+        entries = batch_nn_bruteforce(db, queries).entries
+        meta["unmatched_scans"] = sum(d == max_dist for _, _, d in entries)
+        return NNResult(entries, meta)
+
+    meta["dimension_advisory_ok"] = meets_dimension_advisory(
+        GroupPredicateSpec(s_inner, dim, 0)
+    )
+    meta["fallback_calls"] = 0
+    table = [max_dist] * nq
+    witness = [-1] * nq
     db_groups = [
         list(range(g * s_group, min(nd, (g + 1) * s_group))) for g in range(n_dg)
     ]
     q_groups = [
         list(range(g * s_group, min(nq, (g + 1) * s_group))) for g in range(n_qg)
     ]
-
-    if engaged:
-        for k in range(max_dist - 1, -1, -1):
-            alive = [True] * nq
-            for dgi in db_groups:
-                group_vecs = [db[i] for i in dgi]
-                for qgj in q_groups:
-                    while True:
-                        act = [j for j in qgj if alive[j]]
-                        if not act:
-                            break
-                        res = _poly_close_pair(
-                            group_vecs,
-                            [queries[j] for j in act],
-                            dim,
-                            k,
-                            s_inner,
-                            rounds,
-                            cfg,
-                            rng,
-                            stats=meta,
-                        )
-                        if res is None:
-                            break
-                        li, lj, dist = res
-                        j = act[lj]
-                        table[j] = dist
-                        witness[j] = dgi[li]
-                        alive[j] = False
-    else:
-        # Exact oracle: its answers per group pair are a deterministic
-        # function of the pair's distance matrix, so the per-level oracle
-        # call sequence collapses to column minima computed once per pair.
-        db_packed = pack_vectors(db, dim)
-        q_packed = pack_vectors(queries, dim) if queries else None
-        colmin: dict[tuple[int, int], np.ndarray] = {}
-        argfirst: dict[tuple[int, int], np.ndarray] = {}
-        for dg in range(n_dg):
-            rows = db_packed[db_groups[dg][0] : db_groups[dg][-1] + 1]
-            for qg in range(n_qg):
-                if not q_groups[qg]:
-                    continue
-                cols = q_packed[q_groups[qg][0] : q_groups[qg][-1] + 1]
-                dmat = packed_distance_matrix(rows, cols)
-                colmin[dg, qg] = dmat.min(axis=0)
-                argfirst[dg, qg] = np.argmin(dmat, axis=0)
-        for k in range(max_dist - 1, -1, -1):
-            alive = np.ones(nq, dtype=bool)
-            for dg in range(n_dg):
-                base = db_groups[dg][0]
-                for qg in range(n_qg):
-                    qidx = q_groups[qg]
-                    if not qidx:
-                        continue
-                    cm = colmin[dg, qg]
-                    qual = alive[qidx] & (cm <= k)
-                    if not qual.any():
-                        continue
-                    af = argfirst[dg, qg]
-                    for loc in np.nonzero(qual)[0]:
-                        j = qidx[int(loc)]
-                        table[j] = int(cm[loc])
-                        witness[j] = base + int(af[loc])
-                        alive[j] = False
+    for k in range(max_dist - 1, -1, -1):
+        alive = [True] * nq
+        for dgi in db_groups:
+            group_vecs = [db[i] for i in dgi]
+            for qgj in q_groups:
+                while True:
+                    act = [j for j in qgj if alive[j]]
+                    if not act:
+                        break
+                    res = _poly_close_pair(
+                        group_vecs,
+                        [queries[j] for j in act],
+                        dim,
+                        k,
+                        s_inner,
+                        rounds,
+                        cfg,
+                        rng,
+                        stats=meta,
+                    )
+                    if res is None:
+                        break
+                    li, lj, dist = res
+                    j = act[lj]
+                    table[j] = dist
+                    witness[j] = dgi[li]
+                    alive[j] = False
 
     unmatched = [j for j in range(nq) if witness[j] < 0]
     if unmatched:
-        db_packed = pack_vectors(db, dim)
-        for j in unmatched:
-            qrow = pack_vectors([queries[j]], dim)
-            dmat = packed_distance_matrix(db_packed, qrow)[:, 0]
-            i = int(np.argmin(dmat))
+        nn, dist = _nearest_rows(
+            pack_vectors(db, dim), pack_vectors([queries[j] for j in unmatched], dim)
+        )
+        for j, i, d in zip(unmatched, nn.tolist(), dist.tolist()):
             witness[j] = i
-            table[j] = int(dmat[i])
+            table[j] = d
     meta["unmatched_scans"] = len(unmatched)
 
     entries = tuple((j, witness[j], table[j]) for j in range(nq))

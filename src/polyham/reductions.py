@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParametersError, ParseError
+from .errors import EmptyInputError, InvalidParametersError, ParseError, VerificationError
 from .neighbors import (
     ClosestPairConfig,
     NNResult,
@@ -145,7 +145,11 @@ def furthest_pair(
     flipped = Dataset(ds.dim, ds.red, tuple(complement(v) for v in ds.blue))
     ri, bi, dist = closest_pair(flipped, cfg, rng)
     true_dist = hamming_distance(ds.red[ri], ds.blue[bi])
-    assert true_dist == ds.dim - dist
+    if true_dist != ds.dim - dist:
+        raise VerificationError(
+            f"furthest pair ({ri}, {bi}) is at distance {true_dist}, "
+            f"but its complemented distance {dist} implies {ds.dim - dist}"
+        )
     return ri, bi, true_dist
 
 

@@ -11,6 +11,7 @@ Vectors are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -349,8 +350,102 @@ def pack_vectors(vectors: Sequence[BitVector], dim: int | None = None) -> np.nda
     return out
 
 
+# Byte budget for the temporaries of one packed_distance_matrix tile.  Callers
+# that reduce distance matrices block their own rows by the same budget.
+DISTANCE_BUDGET_BYTES = 1 << 23
+
+# float32 holds every integer up to 2**24 exactly, so a 0/1 dot product over
+# at most this many bits, and |a| - a.b and |b| - a.b with it, are exact.
+_FLOAT32_EXACT_BITS = 1 << 24
+
+
 def packed_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances between packed uint64 row sets."""
-    # (n, 1, W) xor (1, m, W) -> popcount -> sum words
-    x = a[:, None, :] ^ b[None, :, :]
-    return np.bitwise_count(x).sum(axis=2, dtype=np.int64)
+    """All-pairs Hamming distances between packed uint64 row sets.
+
+    ``a`` is ``(..., n, W)`` and ``b`` is ``(..., m, W)``; the leading
+    dimensions broadcast as in ``np.matmul`` and the result is the int64
+    matrix ``(..., n, m)``.  Rows of one word, or of more than 2**24 bits,
+    use XOR plus popcount.  Rows of 2 words up to 2**24 bits unpack to
+    float32 and compute |a| + |b| - 2 a.b with BLAS; every partial sum is an
+    integer no larger than 2**24, so the result is exact under any summation
+    order or thread count.  The work runs in tiles over the batch, both row
+    sets and the words, each tile's temporaries within
+    ``DISTANCE_BUDGET_BYTES``.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(
+            f"need (..., n, W) and (..., m, W) word arrays, got {a.shape} and {b.shape}"
+        )
+    (n, words), m = a.shape[-2:], b.shape[-2]
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(batch + (n, m), dtype=np.int64)
+    if out.size == 0 or words == 0:
+        return out
+    use_blas = words >= 2 and words * WORD_BITS <= _FLOAT32_EXACT_BITS
+    # flat batch index -> index into each operand's own flattened stack
+    a_of = np.broadcast_to(np.arange(math.prod(a.shape[:-2])).reshape(a.shape[:-2]), batch)
+    b_of = np.broadcast_to(np.arange(math.prod(b.shape[:-2])).reshape(b.shape[:-2]), batch)
+    a_of, b_of = a_of.ravel(), b_of.ravel()
+    a3, b3 = a.reshape(-1, n, words), b.reshape(-1, m, words)
+    flat = out.reshape(-1, n, m)
+    tl, tn, tm, tw = _distance_tile(len(flat), n, m, words, use_blas)
+    for l0 in range(0, len(flat), tl):
+        ls = slice(l0, l0 + tl)
+        for w0 in range(0, words, tw):
+            ws = slice(w0, w0 + tw)
+            for j0 in range(0, m, tm):
+                bt = b3[b_of[ls], j0 : j0 + tm, ws]
+                if use_blas:
+                    bt = _unpack_f32(bt)
+                    bt_weight = bt.sum(axis=-1)[:, None, :]
+                for i0 in range(0, n, tn):
+                    at = a3[a_of[ls], i0 : i0 + tn, ws]
+                    if use_blas:
+                        at = _unpack_f32(at)
+                        part = np.matmul(at, bt.transpose(0, 2, 1))
+                        part *= -2.0
+                        part += at.sum(axis=-1)[:, :, None]
+                        part += bt_weight
+                    else:
+                        part = np.bitwise_count(at[:, :, None, :] ^ bt[:, None, :, :])
+                        if tw == 1:
+                            part = part[..., 0]
+                        else:
+                            part = part.sum(axis=-1, dtype=np.int64)
+                    dst = flat[ls, i0 : i0 + tn, j0 : j0 + tm]
+                    if w0:  # a later word chunk adds its share of each distance
+                        np.add(dst, part, out=dst, casting="unsafe")
+                    else:
+                        dst[...] = part
+    return out
+
+
+def _unpack_f32(words: np.ndarray) -> np.ndarray:
+    """(..., W) uint64 words -> (..., 64*W) float32 bits (bit order is irrelevant
+    to distances as long as both sides share it)."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1).astype(np.float32)
+
+
+def _distance_tile(
+    batch: int, n: int, m: int, words: int, use_blas: bool
+) -> tuple[int, int, int, int]:
+    """Tile extents (batch, a rows, b rows, words) whose temporaries fit the budget.
+
+    XOR: a row costs its gathered copy (8 bytes a word); a cell costs the
+    XOR words and their popcounts (9 bytes a word) plus an int64 sum.
+    BLAS: a row costs its gathered copy, unpacked uint8 and float32 bits
+    (8 + 64 + 256 bytes a word) plus a float32 weight; a cell costs its
+    float32 product.  The largest extent is halved until the tile fits, or
+    every extent is 1.
+    """
+    row_w, row, cell_w, cell = (328, 4, 0, 4) if use_blas else (8, 0, 9, 8)
+    tile = [batch, n, m, words]
+    while True:
+        tl, tn, tm, tw = tile
+        size = tl * ((tn + tm) * (tw * row_w + row) + tn * tm * (tw * cell_w + cell))
+        if size <= DISTANCE_BUDGET_BYTES or tile == [1, 1, 1, 1]:
+            return tl, tn, tm, tw
+        big = tile.index(max(tile))
+        tile[big] = (tile[big] + 1) // 2

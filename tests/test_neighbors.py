@@ -63,6 +63,41 @@ def test_batch_nn_bruteforce_tie_smallest_index():
     assert res.entries == ((0, 0, 0),)
 
 
+def naive_closest_pair(ds):
+    """Python-int reference: lexicographic minimum of (distance, red, blue)."""
+    d, i, j = min(
+        ((u.bits ^ v.bits).bit_count(), i, j)
+        for i, u in enumerate(ds.red)
+        for j, v in enumerate(ds.blue)
+    )
+    return i, j, d
+
+
+def naive_batch_nn(db, queries):
+    return tuple(
+        (j, *min(((v.bits ^ q.bits).bit_count(), i) for i, v in enumerate(db))[::-1])
+        for j, q in enumerate(queries)
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_bruteforce_ties_resolve_to_smallest_index(budget, monkeypatch):
+    # few distinct vectors, many duplicates: every minimum is tied, and with
+    # a 64-byte budget the rows split into blocks that each hold a copy
+    if budget is not None:
+        monkeypatch.setattr("polyham.neighbors.DISTANCE_BUDGET_BYTES", budget)
+    rng = np.random.default_rng(21)
+    for d in (3, 64, 130):
+        pool = [BitVector.random(rng, d) for _ in range(3)]
+        for _ in range(4):
+            red = tuple(pool[i] for i in rng.integers(0, 3, size=11))
+            blue = tuple(pool[i] for i in rng.integers(0, 3, size=9))
+            ds = Dataset(d, red, blue)
+            assert closest_pair_bruteforce(ds) == naive_closest_pair(ds)
+            assert batch_nn_bruteforce(red, blue).entries == naive_batch_nn(red, blue)
+            assert batch_nn(red, blue, BRUTE_CFG).entries == naive_batch_nn(red, blue)
+
+
 # ---------------------------------------------------------------------------
 # configuration resolution
 # ---------------------------------------------------------------------------
@@ -84,6 +119,17 @@ def test_explicit_group_size_is_not_halved():
     assert (s, engaged) == (2, False)  # over budget at s=2, d=6: brute force
     s, engaged = _resolve_group_size(64, 5, ClosestPairConfig(s=2))
     assert (s, engaged) == (2, True)
+
+
+def test_fits_budget_agrees_with_projection():
+    from polyham.hammingpoly import GroupPredicateSpec, projected_expansion_size
+    from polyham.neighbors import _fits_budget
+
+    for s in (1, 2, 3):
+        for d in (1, 2, 5, 6, 10, 64, 300):
+            projected = projected_expansion_size(GroupPredicateSpec(s, d, 0))
+            for budget in (0, 1, projected - 1, projected, projected + 1, 1 << 20):
+                assert _fits_budget(s, d, budget) == (projected <= budget), (s, d, budget)
 
 
 def test_config_validation():

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polyham.errors import EmptyInputError, InvalidParametersError, ParseError
+from polyham.errors import EmptyInputError, InvalidParametersError, ParseError, VerificationError
 from polyham.neighbors import ClosestPairConfig
 from polyham.reductions import (
     IntVector,
@@ -147,6 +147,17 @@ def test_furthest_closest_complement_identity():
         _, _, fdist = furthest_pair(ds, BRUTE_CFG)
         _, _, cdist = closest_pair(flipped, BRUTE_CFG)
         assert fdist + cdist == d
+
+
+def test_furthest_pair_wrong_witness_raises(monkeypatch):
+    ds = Dataset.from_lists(
+        [BitVector.from_string("000"), BitVector.from_string("111")],
+        [BitVector.from_string("000")],
+    )
+    # red 0 is at distance 0, but the claimed complemented distance 0 means 3
+    monkeypatch.setattr("polyham.reductions.closest_pair", lambda ds, cfg, rng: (0, 0, 0))
+    with pytest.raises(VerificationError):
+        furthest_pair(ds, BRUTE_CFG)
 
 
 def test_furthest_pair_matches_oracle():

@@ -175,3 +175,96 @@ def test_vectors_are_immutable():
     v = BitVector.from_string("01")
     with pytest.raises(AttributeError):
         v.dim = 5
+
+
+# ---------------------------------------------------------------------------
+# packed_distance_matrix against a pure-Python oracle
+# ---------------------------------------------------------------------------
+
+
+def naive_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python-int XOR popcount over every row pair of two (n, W) word arrays."""
+    ra = [int.from_bytes(row.tobytes(), "little") for row in a]
+    rb = [int.from_bytes(row.tobytes(), "little") for row in b]
+    return np.array([[(x ^ y).bit_count() for y in rb] for x in ra], dtype=np.int64).reshape(
+        len(ra), len(rb)
+    )
+
+
+def random_words(rng, shape, d):
+    """Random packed rows of d bits, zero above bit d like pack_vectors."""
+    words = rng.integers(0, 1 << 64, size=shape + ((d + 63) // 64,), dtype=np.uint64)
+    if d % 64:
+        words[..., -1] &= np.uint64((1 << (d % 64)) - 1)
+    return words
+
+
+@pytest.mark.parametrize("d", [1, 4, 63, 64, 65, 128, 1000])
+def test_distance_kernel_matches_oracle(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    a, b = random_words(rng, (37,), d), random_words(rng, (53,), d)
+    want = naive_distances(a, b)
+    assert np.array_equal(packed_distance_matrix(a, b), want)
+    assert np.array_equal(packed_distance_matrix(np.asfortranarray(a), b[::-1]), want[:, ::-1])
+    # a budget of a few hundred bytes forces many tiles whose extents do
+    # not divide 37 or 53, and word chunks at the wider dimensions
+    monkeypatch.setattr("polyham.vectors.DISTANCE_BUDGET_BYTES", 700)
+    assert np.array_equal(packed_distance_matrix(a, b), want)
+
+
+@pytest.mark.parametrize("d", [65, 128, 1000])
+def test_distance_kernel_branches_agree(d, monkeypatch):
+    rng = np.random.default_rng(d + 1)
+    a, b = random_words(rng, (40,), d), random_words(rng, (29,), d)
+    blas = packed_distance_matrix(a, b)
+    monkeypatch.setattr("polyham.vectors._FLOAT32_EXACT_BITS", 0)  # XOR-popcount only
+    xor = packed_distance_matrix(a, b)
+    assert blas.dtype == xor.dtype == np.int64
+    assert np.array_equal(blas, xor)
+
+
+@pytest.mark.parametrize("d", [4, 64, 200])
+def test_distance_kernel_stacked_inputs_broadcast(d, monkeypatch):
+    rng = np.random.default_rng(7)
+    a = random_words(rng, (2, 1, 5), d)
+    b = random_words(rng, (3, 4), d)
+    want = np.empty((2, 3, 5, 4), dtype=np.int64)
+    for i in range(2):
+        for j in range(3):
+            want[i, j] = naive_distances(a[i, 0], b[j])
+    assert np.array_equal(packed_distance_matrix(a, b), want)
+    assert np.array_equal(packed_distance_matrix(a[0, 0], b), want[0])
+    monkeypatch.setattr("polyham.vectors.DISTANCE_BUDGET_BYTES", 300)
+    assert np.array_equal(packed_distance_matrix(a, b), want)
+
+
+def test_distance_kernel_empty_and_mismatched_shapes():
+    rng = np.random.default_rng(0)
+    a = random_words(rng, (3,), 70)
+    assert packed_distance_matrix(a, a[:0]).shape == (3, 0)
+    assert packed_distance_matrix(a[None][:0], a).shape == (0, 3, 3)
+    with pytest.raises(DimensionMismatchError):
+        packed_distance_matrix(a, a[:, :1])
+    with pytest.raises(DimensionMismatchError):
+        packed_distance_matrix(a[0], a)
+
+
+def test_distance_kernel_temporaries_fit_budget():
+    import tracemalloc
+
+    from polyham.vectors import DISTANCE_BUDGET_BYTES
+
+    rng = np.random.default_rng(5)
+    a = random_words(rng, (4096,), 2048)
+    b = random_words(rng, (4096,), 2048)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = packed_distance_matrix(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4096, 4096)
+    assert peak - before - out.nbytes <= DISTANCE_BUDGET_BYTES
+    rows = rng.choice(4096, size=40, replace=False)
+    assert np.array_equal(out[rows][:, rows], naive_distances(a[rows], b[rows]))
