@@ -39,7 +39,7 @@ from .hammingpoly import (
     expand_hamming_poly,
     sample_hamming_poly,
 )
-from .paireval import PairEvalConfig, eval_all_pairs, split_monomials
+from .paireval import eval_all_pairs
 from .neighbors import (
     ClosestPairConfig,
     NNResult,

@@ -98,8 +98,6 @@ def _config(args, seed: int) -> ClosestPairConfig:
         rounds=args.rounds,
         monomial_budget=budget,
         seed=seed,
-        threads=args.threads,
-        use_four_russians=getattr(args, "four_russians", False),
     )
 
 
@@ -112,8 +110,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
     p.add_argument("--brute-force", action="store_true", help="force exact brute force")
     p.add_argument("--oracle", action="store_true", help="also run brute force and report agreement")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--four-russians", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text01", "hex"), default="text01")
@@ -367,7 +363,6 @@ def _cmd_bench(args) -> int:
                 cfg = ClosestPairConfig(
                     seed=seed,
                     monomial_budget=0 if mode == "brute" else args.budget,
-                    threads=args.threads,
                 )
                 t0 = time.perf_counter()
                 _, _, dist = neighbors.closest_pair(
@@ -472,7 +467,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("poly", "brute", "both"), default="both")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -13,8 +13,9 @@ certainty when no pair is close, and 1 with probability exactly 3/4 over
 
 The polynomial lives on 2*s*d variables: the s x-blocks first, then the s
 y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion);
-``expand_hamming_poly`` produces the explicit multilinear GF(2) polynomial
-behind a monomial budget, for the all-pairs matrix pipeline.
+``expand_hamming_masks`` produces the explicit multilinear GF(2) polynomial
+behind a monomial budget, as the (m, W) uint64 word masks the all-pairs
+matrix pipeline consumes, at every width.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidParametersError, ResourceBudgetError
-from .polyalg import Gf2Polynomial, Monomial, binom_int
+from .polyalg import Gf2Polynomial, binom_int
 from .probpoly import (
     EXPANSION_BUDGET_DEFAULT,
     SampledThresholdCircuit,
@@ -37,7 +37,7 @@ from .probpoly import (
     expand_circuit,
     sample_threshold,
 )
-from .vectors import BitVector, bit_matrix
+from .vectors import BitVector, bit_matrix, pack_rows
 
 __all__ = [
     "GroupPredicateSpec",
@@ -102,7 +102,7 @@ def meets_dimension_advisory(spec: GroupPredicateSpec) -> bool:
 class SampledHammingPolynomial:
     """One draw: the inner threshold circuit plus the index-pair subsets."""
 
-    __slots__ = ("spec", "eps", "inner", "r1", "r2", "expanded", "expanded_masks")
+    __slots__ = ("spec", "eps", "inner", "r1", "r2", "expanded_masks")
 
     def __init__(self, spec, eps, inner, r1, r2):
         self.spec = spec
@@ -110,7 +110,6 @@ class SampledHammingPolynomial:
         self.inner = inner
         self.r1 = r1
         self.r2 = r2
-        self.expanded: Gf2Polynomial | None = None
         self.expanded_masks: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -254,175 +253,120 @@ def projection_fits(spec: GroupPredicateSpec, budget: int) -> bool:
     return True
 
 
-def _substituted_block_masks(
-    p: Gf2Polynomial, spec: GroupPredicateSpec, i: int, j: int
-) -> np.ndarray:
-    """Monomial bitmasks of p(x_i xor y_j) over the 2*s*d ambient variables.
+def _substituted_block_masks(p: Gf2Polynomial, spec: GroupPredicateSpec) -> np.ndarray:
+    """Word masks of p(x_i xor y_j) for every block pair, shape (s*s, R, W).
 
-    Each degree-r monomial splits into 2^r monomials (one per choice of x or
-    y variable per coordinate); distinct source monomials cannot collide, so
-    plain concatenation keeps GF(2) semantics.
+    Block pair (i, j) sits at index i*s + j; its R rows are monomials over
+    the 2*s*d ambient variables.  Each degree-r monomial of p splits into
+    2^r monomials, one per choice of the x or the y copy of each coordinate;
+    distinct source monomials cannot collide, so within one block pair plain
+    concatenation keeps GF(2) semantics.
     """
-    chunks = []
-    for m in p.terms:
-        masks = np.zeros(1, dtype=np.uint64)
-        for t in m:
-            xbit = np.uint64(1 << spec.x_var(i, t))
-            ybit = np.uint64(1 << spec.y_var(j, t))
-            masks = np.concatenate([masks | xbit, masks | ybit])
-        chunks.append(masks)
-    if not chunks:
-        return np.zeros(0, dtype=np.uint64)
-    return np.concatenate(chunks)
+    s, d = spec.s, spec.d
+    empty = np.zeros(0, dtype=np.int64)
+    rows, coords, picks_y = [empty], [empty], [empty]
+    n_rows = 0
+    for r in sorted({len(m) for m in p.terms}):
+        same_degree = [m for m in p.terms if len(m) == r]
+        terms = np.array(same_degree, dtype=np.int64).reshape(len(same_degree), r)
+        choice = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1  # 1 picks y
+        shape = (terms.shape[0], 1 << r, r)
+        rows.append(n_rows + np.repeat(np.arange(shape[0] << r), r))
+        coords.append(np.broadcast_to(terms[:, None, :], shape).ravel())
+        picks_y.append(np.broadcast_to(choice, shape).ravel())
+        n_rows += shape[0] << r
+    i, j = np.divmod(np.arange(s * s), s)
+    row = np.concatenate(rows)
+    var = np.concatenate(coords) + np.where(
+        np.concatenate(picks_y), (s + j[:, None]) * d, i[:, None] * d
+    )
+    bits = np.zeros((s * s, n_rows, spec.nvars), dtype=np.uint8)
+    bits[np.arange(s * s)[:, None], row, var] = 1
+    return pack_rows(bits.reshape(-1, spec.nvars)).reshape(s * s, n_rows, -1)
 
 
 def _parity_unique(masks: np.ndarray) -> np.ndarray:
-    """Keep the masks that occur an odd number of times (GF(2) sum)."""
-    if masks.size == 0:
+    """Keep the mask rows that occur an odd number of times (GF(2) sum).
+
+    The result is sorted as big integers (last word most significant), so
+    the zero mask, if kept, comes first.  One-word rows sort as a 1-D
+    column: that is several times faster than a row sort at the sizes the
+    pipeline expands.
+    """
+    if len(masks) == 0:
         return masks
-    uniq, counts = np.unique(masks, return_counts=True)
-    return uniq[(counts & 1) == 1]
-
-
-def _masks_to_monomials(masks: np.ndarray) -> list[Monomial]:
-    out = []
-    for mask in masks.tolist():
-        mono = []
-        v = 0
-        while mask:
-            if mask & 1:
-                mono.append(v)
-            mask >>= 1
-            v += 1
-        out.append(tuple(mono))
-    return out
-
-
-def _substituted_block_poly(
-    p: Gf2Polynomial, spec: GroupPredicateSpec, i: int, j: int
-) -> set[Monomial]:
-    """Monomials of p(x_i xor y_j) over the 2*s*d ambient variables."""
-    out: set[Monomial] = set()
-    for m in p.terms:
-        xs = [spec.x_var(i, t) for t in m]
-        ys = [spec.y_var(j, t) for t in m]
-        for r in range(len(m) + 1):
-            for chosen in combinations(range(len(m)), r):
-                chosen_set = set(chosen)
-                mono = tuple(
-                    sorted(
-                        [xs[t] for t in range(len(m)) if t in chosen_set]
-                        + [ys[t] for t in range(len(m)) if t not in chosen_set]
-                    )
-                )
-                out.add(mono)
-    return out
+    if masks.shape[1] == 1:
+        uniq, counts = np.unique(masks[:, 0], return_counts=True)
+        return uniq[(counts & 1) == 1, None]
+    masks = masks[np.lexsort(masks.T)]
+    new = np.ones(len(masks), dtype=bool)
+    new[1:] = (masks[1:] != masks[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(masks))
+    return masks[starts[(counts & 1) == 1]]
 
 
 def expand_hamming_poly(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> Gf2Polynomial:
-    """Explicit multilinear GF(2) polynomial over the 2*s*d variables.
+    """The expansion as an explicit multilinear GF(2) polynomial.
 
-    The result is cached on the sampled object.  Raises ResourceBudgetError
-    (naming the projected count) if the expansion would exceed the budget.
+    A view of :func:`expand_hamming_masks` for tests and debugging; raises
+    the same ResourceBudgetError.
     """
-    if hp.expanded is not None:
-        return hp.expanded
-    spec = hp.spec
-    if spec.nvars <= 64:
-        masks = expand_hamming_masks(hp, budget)
-        q = Gf2Polynomial(spec.nvars, _masks_to_monomials(masks))
-    else:
-        projected = projected_expansion_size(spec)
-        if projected > budget:
-            raise ResourceBudgetError(
-                "group polynomial expansion too large",
-                projected=projected,
-                budget=budget,
-            )
-        p_int = expand_circuit(hp.inner, budget=budget)
-        p_gf2 = Gf2Polynomial.from_int_polynomial(p_int)
-        q = _expand_tuples(hp, p_gf2, budget)
-        if q.monomial_count() > budget:
-            raise ResourceBudgetError(
-                "group polynomial expansion too large",
-                projected=q.monomial_count(),
-                budget=budget,
-            )
-    hp.expanded = q
-    return q
+    masks = expand_hamming_masks(hp, budget)
+    nvars = hp.spec.nvars
+    bits = np.unpackbits(masks.view(np.uint8), axis=1, count=nvars, bitorder="little")
+    return Gf2Polynomial(nvars, [tuple(np.flatnonzero(row).tolist()) for row in bits])
 
 
 def expand_hamming_masks(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> np.ndarray:
-    """Expansion as sorted uint64 monomial bitmasks (requires 2*s*d <= 64).
+    """Expansion as sorted (m, W) uint64 monomial masks, W = ceil(2*s*d / 64).
 
-    This is the representation the all-pairs matrix pipeline consumes; the
-    tuple-based :func:`expand_hamming_poly` wraps it.
+    Variable v is bit v % 64 of word v // 64 (the layout of
+    ``vectors.pack_rows``).  The result is cached on the sampled object.
+    Raises ResourceBudgetError (naming the projected count) if the expansion
+    would exceed the budget; budgets count monomials, not words.
     """
     if hp.expanded_masks is not None:
         return hp.expanded_masks
     spec = hp.spec
-    if spec.nvars > 64:
-        raise InvalidParametersError("mask expansion needs 2*s*d <= 64")
     projected = projected_expansion_size(spec)
     if projected > budget:
         raise ResourceBudgetError(
             "group polynomial expansion too large", projected=projected, budget=budget
         )
     p_int = expand_circuit(hp.inner, budget=budget)
-    p_gf2 = Gf2Polynomial.from_int_polynomial(p_int)
+    blocks = _substituted_block_masks(Gf2Polynomial.from_int_polynomial(p_int), spec)
+    words = blocks.shape[2]
     factors = []
     for subset in (hp.r1, hp.r2):
         # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
-        parts = [np.zeros(1 if len(subset) % 2 == 0 else 0, dtype=np.uint64)]
-        parts += [
-            _substituted_block_masks(p_gf2, spec, i, j) for (i, j) in sorted(subset)
-        ]
-        factors.append(_parity_unique(np.concatenate(parts)))
+        const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
+        picked = blocks[[i * spec.s + j for (i, j) in sorted(subset)]]
+        factors.append(_parity_unique(np.concatenate([const, picked.reshape(-1, words)])))
     f1, f2 = factors
-    work = max(1, f1.size) * max(1, f2.size)
+    work = max(1, len(f1)) * max(1, len(f2))
     if work > 64 * budget:
         raise ResourceBudgetError(
             "group polynomial product too large", projected=work, budget=64 * budget
         )
-    if f1.size == 0 or f2.size == 0:
-        prod = np.zeros(0, dtype=np.uint64)
-    elif f1.size == f2.size and np.array_equal(f1, f2):
+    if len(f1) == 0 or len(f2) == 0:
+        prod = f1[:0]
+    elif np.array_equal(f1, f2):
         prod = f1  # square of a multilinear GF(2) polynomial is itself
     else:
-        prod = _parity_unique((f1[:, None] | f2[None, :]).ravel())
-    # q = 1 + f1*f2: toggle the constant monomial
-    const = np.uint64(0)
-    if prod.size and prod[0] == const:
+        prod = _parity_unique((f1[:, None, :] | f2[None, :, :]).reshape(-1, words))
+    # q = 1 + f1*f2: toggle the constant monomial, which sorts first
+    if len(prod) and not prod[0].any():
         prod = prod[1:]
     else:
-        prod = np.concatenate([np.array([const], dtype=np.uint64), prod])
-    if prod.size > budget:
+        prod = np.concatenate([np.zeros((1, words), dtype=np.uint64), prod])
+    if len(prod) > budget:
         raise ResourceBudgetError(
-            "group polynomial expansion too large", projected=int(prod.size), budget=budget
+            "group polynomial expansion too large", projected=len(prod), budget=budget
         )
     hp.expanded_masks = prod
     return prod
-
-
-def _expand_tuples(
-    hp: SampledHammingPolynomial, p_gf2: Gf2Polynomial, budget: int
-) -> Gf2Polynomial:
-    """Tuple-based expansion for instances wider than 64 variables."""
-    spec = hp.spec
-    factors: list[Gf2Polynomial] = []
-    for subset in (hp.r1, hp.r2):
-        acc: set[Monomial] = set() if len(subset) % 2 else {()}
-        for (i, j) in sorted(subset):
-            acc ^= _substituted_block_poly(p_gf2, spec, i, j)
-        factors.append(Gf2Polynomial(spec.nvars, acc))
-    f1, f2 = factors
-    work = max(1, f1.monomial_count()) * max(1, f2.monomial_count())
-    if work > 64 * budget:
-        raise ResourceBudgetError(
-            "group polynomial product too large", projected=work, budget=64 * budget
-        )
-    return Gf2Polynomial.one(spec.nvars) + f1 * f2

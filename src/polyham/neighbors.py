@@ -30,17 +30,15 @@ from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
 from .hammingpoly import (
     GroupPredicateSpec,
     expand_hamming_masks,
-    expand_hamming_poly,
     meets_dimension_advisory,
     projection_fits,
     sample_hamming_poly,
 )
-from .paireval import PairEvalConfig, eval_all_pairs_bits, eval_all_pairs_masks
+from .paireval import eval_all_pairs_masks
 from .vectors import (
     DISTANCE_BUDGET_BYTES,
     BitVector,
     Dataset,
-    bit_matrix,
     hamming_distance,
     pack_vectors,
     packed_distance_matrix,
@@ -78,23 +76,12 @@ class ClosestPairConfig:
     rounds: int | str = "auto"
     monomial_budget: int = MONOMIAL_BUDGET_DEFAULT
     seed: int | None = None
-    use_four_russians: bool = False
-    threads: int = 1
-    tile_size: int = 256
 
     def __post_init__(self):
         if isinstance(self.s, int) and self.s < 1:
             raise InvalidParametersError(f"group size must be >= 1, got {self.s}")
         if isinstance(self.rounds, int) and self.rounds < 1:
             raise InvalidParametersError(f"rounds must be >= 1, got {self.rounds}")
-
-    def pair_eval_config(self) -> PairEvalConfig:
-        return PairEvalConfig(
-            tile_size=self.tile_size,
-            use_four_russians=self.use_four_russians,
-            threads=self.threads,
-            monomial_budget=self.monomial_budget,
-        )
 
 
 @dataclass(frozen=True)
@@ -237,12 +224,14 @@ def pipeline_info(n: int, dim: int, cfg: ClosestPairConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _group_point_bits(bits: np.ndarray, n: int, s: int) -> np.ndarray:
-    """Concatenate each size-s group's coordinates into one point row.
+def _group_point_bits(packed: np.ndarray, dim: int, s: int) -> np.ndarray:
+    """Concatenate each size-s group's coordinates into one 0/1 point row.
 
     The last group is padded with copies of its final member, which adds no
     new pairs and never changes the answer.
     """
+    n = packed.shape[0]
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=dim, bitorder="little")
     n_groups = (n + s - 1) // s
     idx = np.minimum(
         np.arange(n_groups)[:, None] * s + np.arange(s)[None, :], n - 1
@@ -264,35 +253,26 @@ def _poly_close_pair(
     """Grouped majority-vote pipeline; returns a verified best pair or None."""
     nr, nb = len(red), len(blue)
     spec = GroupPredicateSpec(s, dim, k)
-    red_bits = bit_matrix(red, dim)
-    blue_bits = bit_matrix(blue, dim)
-    a_bits = _group_point_bits(red_bits, nr, s)
-    b_bits = _group_point_bits(blue_bits, nb, s)
-    n_rg, n_bg = a_bits.shape[0], b_bits.shape[0]
-    votes = np.zeros((n_rg, n_bg), dtype=np.int32)
-    pe_cfg = cfg.pair_eval_config()
+    red_packed = pack_vectors(red, dim)
+    blue_packed = pack_vectors(blue, dim)
+    a_bits = _group_point_bits(red_packed, dim, s)
+    b_bits = _group_point_bits(blue_packed, dim, s)
+    votes = np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.int32)
+    budget = cfg.monomial_budget
     for _ in range(rounds):
         hp = sample_hamming_poly(spec, rng)
         try:
-            if spec.nvars <= 64:
-                masks = expand_hamming_masks(hp, budget=cfg.monomial_budget)
-                votes += eval_all_pairs_masks(masks, s * dim, a_bits, b_bits, pe_cfg)
-            else:
-                q = expand_hamming_poly(hp, budget=cfg.monomial_budget)
-                votes += eval_all_pairs_bits(q, a_bits, b_bits, pe_cfg)
+            masks = expand_hamming_masks(hp, budget=budget)
+            votes += eval_all_pairs_masks(masks, s * dim, a_bits, b_bits, budget)
         except ResourceBudgetError:
             # projection admitted this size; an overflowing draw falls back
             if stats is not None:
                 stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
-            return _brute_close_pair(
-                pack_vectors(red, dim), pack_vectors(blue, dim), k
-            )
+            return _brute_close_pair(red_packed, blue_packed, k)
 
     pairs = np.argwhere(2 * votes > rounds)
     if not len(pairs):
         return None
-    red_packed = pack_vectors(red, dim)
-    blue_packed = pack_vectors(blue, dim)
     # Verify the flagged group pairs as (F, s, W) stacks; a short last group
     # repeats its final member, which adds no new (dist, red, blue) cell.
     # A flagged pair holds two gathered (s, W) stacks and s*s distances.

@@ -3,33 +3,36 @@
 A polynomial P(x, y) whose monomials each split into an x-part and a y-part
 satisfies P(a, b) = sum_m xpart_m(a) * ypart_m(b) over GF(2), so evaluating
 it on A x B is one GF(2) matrix product F_A * F_B^T between feature
-matrices (one column per monomial).  The product runs on word-packed rows,
-either as AND + popcount parity or through a four-Russians byte table; both
-kernels agree bit-exactly and the output is independent of tiling.
+matrices (one column per monomial).
+
+Monomials are (m, W) uint64 word masks: variable v is bit v % 64 of word
+v // 64, the layout of ``vectors.pack_rows``.  The product is a float32
+BLAS matmul reduced mod 2, run over column chunks whose temporaries fit
+``vectors.DISTANCE_BUDGET_BYTES``.  A chunk has far fewer than 2^24
+columns, so every float32 sum is an exact integer, and the output is the
+same for any chunking and any BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceBudgetError
-from .polyalg import Gf2Polynomial, Monomial
-from .vectors import BitVector, bit_matrix, pack_rows
+from .errors import DimensionMismatchError, InvalidParametersError, ResourceBudgetError
+from .polyalg import Gf2Polynomial
+from .vectors import (
+    _FLOAT32_EXACT_BITS,
+    DISTANCE_BUDGET_BYTES,
+    WORD_BITS,
+    BitVector,
+    bit_matrix,
+    pack_rows,
+)
 
 __all__ = [
-    "PairEvalConfig",
-    "FeatureMatrix",
-    "split_monomials",
-    "feature_matrix",
-    "packed_feature_matrix",
     "eval_all_pairs",
-    "eval_all_pairs_bits",
     "eval_all_pairs_masks",
-    "pack_points_uint64",
     "gf2_matmul",
     "gf2_matmul_reference",
 ]
@@ -37,132 +40,17 @@ __all__ = [
 MATRIX_BUDGET_DEFAULT = 1 << 20
 
 
-@dataclass(frozen=True)
-class PairEvalConfig:
-    tile_size: int = 256
-    use_four_russians: bool = False
-    threads: int = 1
-    monomial_budget: int = MATRIX_BUDGET_DEFAULT
+def gf2_matmul(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """GF(2) product A * B^T of 0/1 float32 rows; (na, nb) 0/1 uint8 output.
 
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Packed GF(2) matrix: entry (g, m) is monomial part m on point g."""
-
-    rows: int
-    cols: int
-    packed: np.ndarray  # (rows, ceil(cols/64)) uint64
-
-
-def split_monomials(
-    p: Gf2Polynomial, x_block_size: int
-) -> list[tuple[Monomial, Monomial]]:
-    """Split each monomial into its x-side and y-side parts.
-
-    Variables below x_block_size belong to the x side; the rest are y-side
-    and are re-indexed to start at 0.  The list is sorted, so it doubles as
-    the column order of the feature matrices.
+    Exact only below 2^24 columns, where every partial sum is an integer
+    that float32 holds exactly; wider inputs raise InvalidParametersError.
     """
-    if not 0 < x_block_size <= p.nvars:
-        raise DimensionMismatchError(
-            f"x block size {x_block_size} out of range for nvars={p.nvars}"
+    if fa.shape[1] >= _FLOAT32_EXACT_BITS:
+        raise InvalidParametersError(
+            f"{fa.shape[1]} columns: a float32 GF(2) product is exact below 2^24"
         )
-    out = []
-    for m in sorted(p.terms, key=lambda m: (len(m), m)):
-        xpart = tuple(v for v in m if v < x_block_size)
-        ypart = tuple(v - x_block_size for v in m if v >= x_block_size)
-        out.append((xpart, ypart))
-    return out
-
-
-def feature_matrix(points_bits: np.ndarray, parts: Sequence[Monomial]) -> np.ndarray:
-    """Boolean (npoints, nparts) matrix of monomial-part values.
-
-    A part evaluates to 1 iff every one of its variables is 1 on the point,
-    which is "no misses" under an integer matmul with the one-hot masks.
-    """
-    n, width = points_bits.shape
-    nparts = len(parts)
-    if nparts == 0:
-        return np.zeros((n, 0), dtype=bool)
-    masks = np.zeros((width, nparts), dtype=np.int32)
-    for col, part in enumerate(parts):
-        for v in part:
-            if v >= width:
-                raise DimensionMismatchError(
-                    f"variable {v} out of range for point width {width}"
-                )
-            masks[v, col] = 1
-    misses = (1 - points_bits.astype(np.int32)) @ masks
-    return misses == 0
-
-
-def packed_feature_matrix(points_bits: np.ndarray, parts: Sequence[Monomial]) -> FeatureMatrix:
-    """Word-packed feature matrix: entry (g, m) is monomial part m on point g."""
-    feats = feature_matrix(points_bits, parts)
-    return FeatureMatrix(feats.shape[0], feats.shape[1], pack_rows(feats))
-
-
-def _popcount_tile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    acc = np.bitwise_count(a[:, None, :] & b[None, :, :]).sum(axis=2, dtype=np.uint64)
-    return (acc & np.uint64(1)).astype(np.uint8)
-
-
-def _four_russians_tables(b_packed: np.ndarray) -> np.ndarray:
-    """Per byte-chunk lookup tables T[chunk, v] = packed parity row over B."""
-    nb = b_packed.shape[0]
-    b_bytes = np.ascontiguousarray(b_packed).view(np.uint8)  # (nb, nchunks)
-    nchunks = b_bytes.shape[1]
-    # bit_rows[chunk, bit] = packed row over B of that bit of the chunk
-    bit_cols = np.unpackbits(b_bytes[:, :, None], axis=2, bitorder="little")
-    nbw = (nb + 63) // 64
-    tables = np.zeros((nchunks, 256, nbw), dtype=np.uint64)
-    packed_bits = np.empty((nchunks, 8, nbw), dtype=np.uint64)
-    for c in range(nchunks):
-        packed_bits[c] = pack_rows(bit_cols[:, c, :].T)
-    for v in range(1, 256):
-        low = v & -v
-        tables[:, v, :] = tables[:, v ^ low, :] ^ packed_bits[:, low.bit_length() - 1, :]
-    return tables
-
-
-def _four_russians_tile(a_packed: np.ndarray, tables: np.ndarray, nb: int) -> np.ndarray:
-    a_bytes = np.ascontiguousarray(a_packed).view(np.uint8)  # (na, nchunks)
-    nchunks = tables.shape[0]
-    gathered = tables[np.arange(nchunks)[None, :], a_bytes.astype(np.intp), :]
-    rows = np.bitwise_xor.reduce(gathered, axis=1)  # (na, nbw)
-    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little", count=nb)
-    return bits.astype(np.uint8)
-
-
-def gf2_matmul(
-    a_packed: np.ndarray,
-    b_packed: np.ndarray,
-    config: PairEvalConfig = PairEvalConfig(),
-) -> np.ndarray:
-    """GF(2) product A * B^T of packed row sets; (na, nb) 0/1 uint8 output."""
-    na, nb = a_packed.shape[0], b_packed.shape[0]
-    out = np.empty((na, nb), dtype=np.uint8)
-    ts = max(1, config.tile_size)
-    tables = _four_russians_tables(b_packed) if config.use_four_russians else None
-
-    def run_row_tile(i0: int) -> None:
-        i1 = min(na, i0 + ts)
-        if tables is not None:
-            out[i0:i1] = _four_russians_tile(a_packed[i0:i1], tables, nb)
-            return
-        for j0 in range(0, nb, ts):
-            j1 = min(nb, j0 + ts)
-            out[i0:i1, j0:j1] = _popcount_tile(a_packed[i0:i1], b_packed[j0:j1])
-
-    starts = list(range(0, na, ts))
-    if config.threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run_row_tile, starts))
-    else:
-        for i0 in starts:
-            run_row_tile(i0)
-    return out
+    return ((fa @ fb.T).astype(np.int32) & 1).astype(np.uint8)
 
 
 def gf2_matmul_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
@@ -170,13 +58,19 @@ def gf2_matmul_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
     return ((a_bits.astype(np.int64) @ b_bits.astype(np.int64).T) & 1).astype(np.uint8)
 
 
-def pack_points_uint64(bits: np.ndarray) -> np.ndarray:
-    """Collapse (n, w<=64) 0/1 rows into single uint64 values."""
-    w = bits.shape[1]
-    if w > 64:
-        raise DimensionMismatchError(f"point width {w} does not fit one word")
-    powers = np.left_shift(np.uint64(1), np.arange(w, dtype=np.uint64))
-    return (bits.astype(np.uint64) * powers).sum(axis=1, dtype=np.uint64)
+def _place(bits: np.ndarray, offset: int, words: int) -> np.ndarray:
+    """Pack (n, w) 0/1 rows into (n, words) uint64, column c at variable offset + c."""
+    out = np.zeros((bits.shape[0], words * WORD_BITS), dtype=np.uint8)
+    out[:, offset : offset + bits.shape[1]] = bits
+    return pack_rows(out)
+
+
+def _features(points: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(n, m) float32 features: 1 where a packed point has every bit of a mask."""
+    missing = ~points[:, :1] & masks[:, 0]
+    for w in range(1, masks.shape[1]):
+        missing |= ~points[:, w, None] & masks[:, w]
+    return np.equal(missing, 0, out=np.empty(missing.shape, dtype=np.float32))
 
 
 def eval_all_pairs_masks(
@@ -184,72 +78,54 @@ def eval_all_pairs_masks(
     x_width: int,
     a_bits: np.ndarray,
     b_bits: np.ndarray,
-    config: PairEvalConfig = PairEvalConfig(),
+    budget: int = MATRIX_BUDGET_DEFAULT,
 ) -> np.ndarray:
-    """All-pairs evaluation from uint64 monomial masks (nvars <= 64).
+    """All-pairs evaluation of a polynomial given as (m, W) uint64 word masks.
 
-    Equivalent to :func:`eval_all_pairs_bits` on the same polynomial; the
-    feature matrices come from one broadcast AND per side.
+    Variables below x_width are the coordinates of the (na, x_width) 0/1
+    rows a_bits; the next b_bits.shape[1] are those of b_bits.  Returns
+    uint8 out[i, j] = P(a_i, b_j) over GF(2).  Raises ResourceBudgetError
+    when the monomial count m exceeds the budget.
     """
-    if masks.size > config.monomial_budget:
+    m, words = masks.shape
+    if m > budget:
         raise ResourceBudgetError(
-            "too many monomials for the matrix pipeline",
-            projected=int(masks.size),
-            budget=config.monomial_budget,
+            "too many monomials for the matrix pipeline", projected=m, budget=budget
         )
-    if masks.size == 0:
-        return np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.uint8)
-    x_sel = (np.uint64(1) << np.uint64(x_width)) - np.uint64(1) if x_width < 64 else ~np.uint64(0)
-    xmasks = masks & x_sel
-    ymasks = masks >> np.uint64(x_width)
-    a_vals = pack_points_uint64(a_bits)
-    b_vals = pack_points_uint64(b_bits)
-    fa = (a_vals[:, None] & xmasks[None, :]) == xmasks[None, :]
-    fb = (b_vals[:, None] & ymasks[None, :]) == ymasks[None, :]
-    return gf2_matmul(pack_rows(fa), pack_rows(fb), config)
-
-
-def eval_all_pairs_bits(
-    p: Gf2Polynomial,
-    a_bits: np.ndarray,
-    b_bits: np.ndarray,
-    config: PairEvalConfig = PairEvalConfig(),
-) -> np.ndarray:
-    """Like :func:`eval_all_pairs` but on prebuilt (n, width) bit matrices."""
-    x_width = a_bits.shape[1]
-    y_width = b_bits.shape[1]
-    if x_width + y_width != p.nvars:
+    if a_bits.shape[1] != x_width or x_width + b_bits.shape[1] > words * WORD_BITS:
         raise DimensionMismatchError(
-            f"block widths {x_width}+{y_width} != nvars {p.nvars}"
+            f"block widths {a_bits.shape[1]}+{b_bits.shape[1]} do not fit "
+            f"x width {x_width} and {words} mask words"
         )
-    count = p.monomial_count()
-    if count > config.monomial_budget:
-        raise ResourceBudgetError(
-            "too many monomials for the matrix pipeline",
-            projected=count,
-            budget=config.monomial_budget,
-        )
-    parts = split_monomials(p, x_width)
-    if not parts:
-        return np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.uint8)
-    fa = packed_feature_matrix(a_bits, [x for x, _ in parts])
-    fb = packed_feature_matrix(b_bits, [y for _, y in parts])
-    return gf2_matmul(fa.packed, fb.packed, config)
+    na, nb = a_bits.shape[0], b_bits.shape[0]
+    out = np.zeros((na, nb), dtype=np.uint8)
+    # b-side bits sit at their ambient offset, so masks split by a word AND
+    a = _place(a_bits, 0, words)
+    b = _place(b_bits, x_width, words)
+    x_side = _place(np.ones((1, x_width), dtype=np.uint8), 0, words)[0]
+    xmasks, ymasks = masks & x_side, masks & ~x_side
+    # A feature cell's temporaries: two uint64 words and one float32.
+    step = max(1, DISTANCE_BUDGET_BYTES // (20 * max(1, na + nb)))
+    for c0 in range(0, m, step):
+        fa = _features(a, xmasks[c0 : c0 + step])
+        fb = _features(b, ymasks[c0 : c0 + step])
+        out ^= gf2_matmul(fa, fb)
+    return out
 
 
 def eval_all_pairs(
     p: Gf2Polynomial,
     a_points: Sequence[BitVector],
     b_points: Sequence[BitVector],
-    config: PairEvalConfig = PairEvalConfig(),
+    budget: int = MATRIX_BUDGET_DEFAULT,
 ) -> np.ndarray:
-    """Evaluate p on every (a, b) pair via the packed matrix product.
+    """Evaluate p on every (a, b) pair via the matrix product.
 
     Args:
         p: polynomial over x-variables (the a-point coordinates) followed by
            y-variables (the b-point coordinates).
         a_points, b_points: input sets; their dimensions must add to p.nvars.
-        config: kernel selection, tiling, threads, and the monomial budget.
+        budget: cap on the monomial count.
 
     Returns:
         uint8 matrix out[i, j] = p(a_i, b_j) over GF(2), bit-exact equal to
@@ -259,4 +135,11 @@ def eval_all_pairs(
         return np.zeros((len(a_points), len(b_points)), dtype=np.uint8)
     a_bits = bit_matrix(a_points)
     b_bits = bit_matrix(b_points)
-    return eval_all_pairs_bits(p, a_bits, b_bits, config)
+    if a_bits.shape[1] + b_bits.shape[1] != p.nvars:
+        raise DimensionMismatchError(
+            f"block widths {a_bits.shape[1]}+{b_bits.shape[1]} != nvars {p.nvars}"
+        )
+    terms = np.zeros((len(p.terms), p.nvars), dtype=np.uint8)
+    for row, mono in enumerate(p.terms):
+        terms[row, list(mono)] = 1
+    return eval_all_pairs_masks(pack_rows(terms), a_bits.shape[1], a_bits, b_bits, budget)

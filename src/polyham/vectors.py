@@ -329,11 +329,10 @@ def bit_matrix(vectors: Sequence[BitVector], dim: int | None = None) -> np.ndarr
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack an (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words."""
     n, d = bits.shape
-    packed8 = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    pad = (-packed8.shape[1]) % 8
-    if pad:
-        packed8 = np.pad(packed8, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(packed8).view(np.uint64)
+    packed8 = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    out = np.zeros((n, (d + WORD_BITS - 1) // WORD_BITS * 8), dtype=np.uint8)
+    out[:, : packed8.shape[1]] = packed8
+    return out.view(np.uint64)
 
 
 def pack_vectors(vectors: Sequence[BitVector], dim: int | None = None) -> np.ndarray:
@@ -343,11 +342,8 @@ def pack_vectors(vectors: Sequence[BitVector], dim: int | None = None) -> np.nda
             raise EmptyInputError("need at least one vector or an explicit dim")
         dim = vectors[0].dim
     n_words = (dim + WORD_BITS - 1) // WORD_BITS
-    out = np.empty((len(vectors), n_words), dtype=np.uint64)
-    nbytes = n_words * 8
-    for i, v in enumerate(vectors):
-        out[i] = np.frombuffer(v.bits.to_bytes(nbytes, "little"), dtype=np.uint64)
-    return out
+    data = bytearray(b"".join(v.bits.to_bytes(n_words * 8, "little") for v in vectors))
+    return np.frombuffer(data, dtype=np.uint64).reshape(len(vectors), n_words)
 
 
 # Byte budget for the temporaries of one packed_distance_matrix tile.  Callers

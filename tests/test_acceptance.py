@@ -29,7 +29,7 @@ from polyham.neighbors import (
     closest_pair,
     closest_pair_bruteforce,
 )
-from polyham.paireval import PairEvalConfig, eval_all_pairs_bits, gf2_matmul_reference
+from polyham.paireval import eval_all_pairs_masks, gf2_matmul_reference
 from polyham.polyalg import Gf2Polynomial, binomial_matrix_det, interpolate_weights
 from polyham.probpoly import (
     SymmetricFunctionSpec,
@@ -52,7 +52,7 @@ from polyham.reductions import (
     max_jaccard_pair,
     unary_encode,
 )
-from polyham.vectors import BitVector, Dataset, hamming_distance, inner_product
+from polyham.vectors import BitVector, Dataset, hamming_distance, inner_product, pack_rows
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -253,11 +253,16 @@ def _random_poly_masks(rng, nvars, nterms):
     return Gf2Polynomial(nvars, monos)
 
 
+def _indicator(terms, nvars):
+    out = np.zeros((len(terms), nvars), dtype=np.uint8)
+    for row, mono in enumerate(terms):
+        out[row, list(mono)] = 1
+    return out
+
+
 def test_acceptance_6_all_pairs_evaluation():
     rng = np.random.default_rng(4)
     ok = True
-    from polyham.paireval import feature_matrix, split_monomials
-
     for case in range(100):
         if case < 4:
             na = nb = 256
@@ -272,12 +277,13 @@ def test_acceptance_6_all_pairs_evaluation():
         p = _random_poly_masks(rng, xw + yw, nterms)
         a_bits = rng.integers(0, 2, size=(na, xw)).astype(np.uint8)
         b_bits = rng.integers(0, 2, size=(nb, yw)).astype(np.uint8)
-        cfg = PairEvalConfig(use_four_russians=bool(case % 2))
-        got = eval_all_pairs_bits(p, a_bits, b_bits, cfg)
-        # word-free reference product on the same features
-        parts = split_monomials(p, xw)
-        fa = feature_matrix(a_bits, [x for x, _ in parts])
-        fb = feature_matrix(b_bits, [y for _, y in parts])
+        indicator = _indicator(sorted(p.terms), xw + yw)
+        got = eval_all_pairs_masks(pack_rows(indicator), xw, a_bits, b_bits)
+        # word-free reference product on features built from the terms:
+        # a monomial's x-part holds on a point iff it misses none of its bits
+        onehot = indicator.T.astype(np.int64)
+        fa = (1 - a_bits.astype(np.int64)) @ onehot[:xw] == 0
+        fb = (1 - b_bits.astype(np.int64)) @ onehot[xw:] == 0
         ok &= np.array_equal(got, gf2_matmul_reference(fa, fb))
         # direct pointwise evaluation on sampled entries
         for _ in range(20):

@@ -153,11 +153,11 @@ def test_duplicate_padding_changes_nothing():
 
 def test_structural_equals_expanded_random_inputs():
     rng = np.random.default_rng(6)
-    cases = [(1, 4), (1, 6), (2, 4), (2, 5), (3, 3), (4, 3)]
+    cases = [(1, 4), (1, 6), (2, 4), (2, 5), (3, 3), (4, 3), (17, 2)]  # 68 vars: W=2
     for s, d in cases:
         spec = GroupPredicateSpec(s, d, 1)
         hp = sample_hamming_poly(spec, rng)
-        q = expand_hamming_poly(hp)
+        q = expand_hamming_poly(hp, budget=10**7)
         for _ in range(60):
             xs = [BitVector.random(rng, d) for _ in range(s)]
             ys = [BitVector.random(rng, d) for _ in range(s)]
@@ -217,17 +217,55 @@ def test_expansion_budget_error():
     assert exc.value.projected == projected_expansion_size(spec)
 
 
+def eval_masks(masks, point):
+    """Parity of the mask rows whose every word is covered by the point's words."""
+    words = np.array(BitVector(64 * masks.shape[1], point).words, dtype=np.uint64)
+    return int(((words & masks) == masks).all(axis=1).sum() & 1)
+
+
 def test_masks_and_tuples_agree():
     rng = np.random.default_rng(11)
-    spec = GroupPredicateSpec(2, 4, 1)
-    hp = sample_hamming_poly(spec, rng)
-    masks = expand_hamming_masks(hp)
-    q = expand_hamming_poly(hp)
-    assert q.monomial_count() == masks.size
-    got = set()
-    for mask in masks.tolist():
-        got.add(tuple(i for i in range(spec.nvars) if (mask >> i) & 1))
-    assert got == set(q.terms)
+    for s, d in [(2, 4), (17, 2)]:
+        spec = GroupPredicateSpec(s, d, 1)
+        hp = sample_hamming_poly(spec, rng)
+        masks = expand_hamming_masks(hp, budget=10**7)
+        q = expand_hamming_poly(hp, budget=10**7)
+        assert masks.shape == (q.monomial_count(), (spec.nvars + 63) // 64)
+        for _ in range(30):
+            xs = [BitVector.random(rng, d) for _ in range(s)]
+            ys = [BitVector.random(rng, d) for _ in range(s)]
+            point = concat(xs).bits | (concat(ys).bits << (s * d))
+            want = eval_group_pair(hp, xs, ys)
+            assert eval_masks(masks, point) == want
+            assert q.eval_mask(point) == want
+
+
+def test_masks_poly_round_trip_two_words():
+    spec = GroupPredicateSpec(17, 2, 1)
+    hp = sample_hamming_poly(spec, np.random.default_rng(14))
+    masks = expand_hamming_masks(hp, budget=10**7)
+    assert masks.shape[1] == 2 and masks[:, 1].any()
+    # variable v is bit v % 64 of word v // 64
+    as_ints = [int(lo) | (int(hi) << 64) for lo, hi in masks.tolist()]
+    assert as_ints == sorted(as_ints)
+    q = expand_hamming_poly(hp, budget=10**7)
+    assert set(as_ints) == {sum(1 << v for v in m) for m in q.terms}
+    assert len(as_ints) == q.monomial_count()
+
+
+def test_expansion_budget_counts_monomials(monkeypatch):
+    import polyham.hammingpoly as hammingpoly
+
+    spec = GroupPredicateSpec(17, 2, 1)
+    m = len(expand_hamming_masks(sample_hamming_poly(spec, np.random.default_rng(15)), 10**7))
+    # lift the projection check so the final count check is the one that binds
+    monkeypatch.setattr(hammingpoly, "projected_expansion_size", lambda spec: 0)
+    hp = sample_hamming_poly(spec, np.random.default_rng(15))
+    assert len(expand_hamming_masks(hp, budget=m)) == m
+    hp = sample_hamming_poly(spec, np.random.default_rng(15))
+    with pytest.raises(ResourceBudgetError) as exc:
+        expand_hamming_masks(hp, budget=m - 1)
+    assert exc.value.projected == m
 
 
 def test_dimension_advisory():

@@ -4,6 +4,7 @@ import pytest
 from polyham.errors import EmptyInputError, InvalidParametersError
 from polyham.neighbors import (
     ClosestPairConfig,
+    _group_point_bits,
     _resolve_group_size,
     batch_nn,
     batch_nn_bruteforce,
@@ -11,7 +12,7 @@ from polyham.neighbors import (
     closest_pair,
     closest_pair_bruteforce,
 )
-from polyham.vectors import BitVector, Dataset, complement, hamming_distance
+from polyham.vectors import BitVector, Dataset, complement, hamming_distance, pack_vectors
 
 ENGAGED_CFG = ClosestPairConfig(s=1, rounds=9)   # polynomial path live at d <= 6
 ENGAGED_S2_CFG = ClosestPairConfig(s=2, rounds=9)  # heavier; live at d <= 5
@@ -158,16 +159,6 @@ def test_close_pair_empty_side_is_none():
     assert bichromatic_close_pair(ds, 2, ENGAGED_CFG, np.random.default_rng(0)) is None
 
 
-def test_pipeline_four_russians_matches_default():
-    rng = np.random.default_rng(12)
-    ds = random_dataset(rng, 30, 5)
-    base_cfg = ClosestPairConfig(s=2, rounds=7)
-    fr_cfg = ClosestPairConfig(s=2, rounds=7, use_four_russians=True)
-    a = closest_pair(ds, base_cfg, np.random.default_rng(3))
-    b = closest_pair(ds, fr_cfg, np.random.default_rng(3))
-    assert a == b  # same draws, bit-exact kernels
-
-
 def even_odd_dataset(rng, n, d):
     """Red all even weight, blue all odd: every distance is odd, so >= 1."""
     def flip_parity(v, want_odd):
@@ -299,6 +290,18 @@ def test_group_padding_never_changes_the_answer():
         got_padded = closest_pair(padded, ENGAGED_S2_CFG, np.random.default_rng(seed))
         assert got[2] == got_padded[2]
         assert got[2] == closest_pair_bruteforce(ds)[2]
+
+
+def test_group_point_bits_concatenate_member_coordinates():
+    # verification hides wrong group rows (they only flag more pairs), so
+    # the rows are checked directly: members' coordinates, last one repeated
+    rng = np.random.default_rng(8)
+    for d, n, s in [(5, 7, 2), (70, 5, 3), (64, 4, 4)]:
+        vecs = [BitVector.random(rng, d) for _ in range(n)]
+        rows = _group_point_bits(pack_vectors(vecs, d), d, s)
+        for g, row in enumerate(rows):
+            members = [vecs[min(g * s + t, n - 1)] for t in range(s)]
+            assert "".join(map(str, row)) == "".join(v.to_string() for v in members)
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +437,16 @@ def test_batch_nn_determinism():
     a = batch_nn(db, queries, cfg, np.random.default_rng(7))
     b = batch_nn(db, queries, cfg, np.random.default_rng(7))
     assert a.entries == b.entries
+
+
+def test_pipeline_above_64_variables():
+    # s=17, d=2 is 68 variables: two-word monomial masks end to end
+    rng = np.random.default_rng(16)
+    ds = even_odd_dataset(rng, 40, 2)
+    cfg = ClosestPairConfig(s=17, rounds=5, monomial_budget=10**7)
+    assert _resolve_group_size(40, 2, cfg) == (17, True)
+    assert closest_pair(ds, cfg, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
+    # every pair is at distance 1, so the k=1 decision must find one
+    found = bichromatic_close_pair(ds, 1, cfg, np.random.default_rng(2))
+    assert found is not None
+    assert hamming_distance(ds.red[found[0]], ds.blue[found[1]]) == 1
