@@ -20,6 +20,7 @@ matrix pipeline consumes, at every width.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +100,11 @@ def meets_dimension_advisory(spec: GroupPredicateSpec) -> bool:
     return spec.d > math.e**2 * math.log2(spec.s)
 
 
+def _inner_threshold(spec: GroupPredicateSpec) -> ThresholdSpec:
+    """[weight >= k+1] on d variables with error budget 1/s^3."""
+    return ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), inner_error_budget(spec.s))
+
+
 class SampledHammingPolynomial:
     """One draw: the inner threshold circuit plus the index-pair subsets."""
 
@@ -127,15 +133,12 @@ def sample_hamming_poly(
     Each element of [s]^2 enters R_1 and R_2 by an independent fair coin;
     empty subsets are legal draws.
     """
-    eps = inner_error_budget(spec.s)
-    inner = sample_threshold(
-        ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), eps), rng
-    )
+    inner = sample_threshold(_inner_threshold(spec), rng)
     pairs = [(i, j) for i in range(spec.s) for j in range(spec.s)]
     coins = rng.integers(0, 2, size=2 * len(pairs))
     r1 = frozenset(p for p, c in zip(pairs, coins[: len(pairs)]) if c)
     r2 = frozenset(p for p, c in zip(pairs, coins[len(pairs):]) if c)
-    return SampledHammingPolynomial(spec, eps, inner, r1, r2)
+    return SampledHammingPolynomial(spec, inner.spec.eps, inner, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +146,16 @@ def sample_hamming_poly(
 # ---------------------------------------------------------------------------
 
 
-def _circuit_p_mod2(inner: SampledThresholdCircuit) -> Callable[[int], int]:
-    """Fast mod-2 evaluator of the inner circuit on packed xor words."""
-    d = inner.spec.n
-    if inner.kind == "exact_base":
-        t = inner.window.t
-        return lambda z_int: int(z_int.bit_count() >= t)
-
-    def _eval(z_int: int) -> int:
-        return inner.eval_bits(bit_matrix([BitVector(d, z_int)])[0]) % 2
-
-    return _eval
+def _check_groups(
+    spec: GroupPredicateSpec, xs: Sequence[BitVector], ys: Sequence[BitVector]
+) -> None:
+    if len(xs) != spec.s or len(ys) != spec.s:
+        raise InvalidParametersError(
+            f"expected {spec.s} vectors per side, got {len(xs)}/{len(ys)}"
+        )
+    for v in list(xs) + list(ys):
+        if v.dim != spec.d:
+            raise InvalidParametersError(f"vector dim {v.dim} != d {spec.d}")
 
 
 def eval_group_pair_with(
@@ -170,13 +172,7 @@ def eval_group_pair_with(
     value of the inner polynomial; substituting the true threshold function
     here realizes the "all inner evaluations correct" conditioning.
     """
-    if len(xs) != spec.s or len(ys) != spec.s:
-        raise InvalidParametersError(
-            f"expected {spec.s} vectors per side, got {len(xs)}/{len(ys)}"
-        )
-    for v in list(xs) + list(ys):
-        if v.dim != spec.d:
-            raise InvalidParametersError(f"vector dim {v.dim} != d {spec.d}")
+    _check_groups(spec, xs, ys)
     cache: dict[tuple[int, int], int] = {}
 
     def p_at(i: int, j: int) -> int:
@@ -198,10 +194,16 @@ def eval_group_pair_with(
 def eval_group_pair(
     hp: SampledHammingPolynomial, xs: Sequence[BitVector], ys: Sequence[BitVector]
 ) -> int:
-    """Evaluate the sampled q on one pair of groups without expansion."""
-    return eval_group_pair_with(
-        hp.spec, hp.r1, hp.r2, xs, ys, _circuit_p_mod2(hp.inner)
-    )
+    """Evaluate the sampled q on one pair of groups without expansion.
+
+    The inner circuit runs once, as one batch, on the distinct xors of the
+    cross pairs.
+    """
+    _check_groups(hp.spec, xs, ys)
+    xors = list({x.bits ^ y.bits for x in xs for y in ys})
+    values = hp.inner.eval_rows(bit_matrix([BitVector(hp.spec.d, z) for z in xors]))
+    p_mod2 = {z: v % 2 for z, v in zip(xors, values)}
+    return eval_group_pair_with(hp.spec, hp.r1, hp.r2, xs, ys, p_mod2.__getitem__)
 
 
 def group_pair_truth(
@@ -285,6 +287,28 @@ def _substituted_block_masks(p: Gf2Polynomial, spec: GroupPredicateSpec) -> np.n
     return pack_rows(bits.reshape(-1, spec.nvars)).reshape(s * s, n_rows, -1)
 
 
+def _inner_blocks(
+    inner: SampledThresholdCircuit, spec: GroupPredicateSpec, budget: int
+) -> np.ndarray:
+    p_int = expand_circuit(inner, budget=budget)
+    return _substituted_block_masks(Gf2Polynomial.from_int_polynomial(p_int), spec)
+
+
+@functools.lru_cache(maxsize=32)
+def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
+    """Read-only block masks shared by every draw whose inner circuit is exact.
+
+    Such a circuit has no skeleton, so it is the same interpolation on every
+    draw for ``spec``.  Its expansion has at most 2^d monomials, below the
+    projection the caller has already checked against its budget.
+    """
+    # an exact circuit draws nothing from the generator
+    inner = sample_threshold(_inner_threshold(spec), np.random.default_rng(0))
+    blocks = _inner_blocks(inner, spec, projected_expansion_size(spec))
+    blocks.setflags(write=False)
+    return blocks
+
+
 def _parity_unique(masks: np.ndarray) -> np.ndarray:
     """Keep the mask rows that occur an odd number of times (GF(2) sum).
 
@@ -338,8 +362,10 @@ def expand_hamming_masks(
         raise ResourceBudgetError(
             "group polynomial expansion too large", projected=projected, budget=budget
         )
-    p_int = expand_circuit(hp.inner, budget=budget)
-    blocks = _substituted_block_masks(Gf2Polynomial.from_int_polynomial(p_int), spec)
+    if hp.inner.skeleton is None:
+        blocks = _exact_inner_blocks(spec)
+    else:
+        blocks = _inner_blocks(hp.inner, spec, budget)
     words = blocks.shape[2]
     factors = []
     for subset in (hp.r1, hp.r2):

@@ -8,22 +8,29 @@ recursive combination
 
 where x~ keeps a 1/10 random sample of the coordinates and near_hi/near_lo
 are circuits for slightly shifted thresholds with a quarter of the error
-budget.  The sampled coordinate map is drawn once per recursion level and
-shared by all three children (and, in a symmetric-function combination, by
-every threshold circuit), so a circuit is a *skeleton* of per-level maps
-plus a parameter tree.
+budget.  A symmetric function is f(0) plus a signed sum of threshold
+circuits, one per jump of its weight table.
 
-Evaluation never expands polynomials.  All interpolations here prescribe a
-0/1 step over a weight window, and their forward-difference coefficients
-have a closed form, so window values are exact weight comparisons and
-off-window values are short Newton sums of big integers on demand.
+A draw splits in two.  The *plan* depends only on (n, thresholds, eps): a
+flat, de-duplicated list of nodes (level, weight window, child ids) with one
+root per threshold.  The *skeleton* is the random part: one coordinate map
+per recursion level, shared by every node of that level, so by all three
+children of a node and by every threshold of a symmetric function.
+
+Evaluation never expands polynomials.  Every node prescribes a 0/1 step
+over a weight window, so window values are weight comparisons.  One batched
+evaluator runs a plan level by level, deepest first, over a matrix of
+weight profiles in small ints; the rare rows that need an interpolation
+value outside a window (a Newton sum of big integers) are rerun on exact
+Python ints.
 
 Explicit expansion (for the small-n equivalence tests and GF(2) reduction)
-is available behind a monomial budget.
+walks the plan behind a monomial budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,14 +38,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParametersError, ResourceBudgetError
-from .polyalg import IntPolynomial, binom_int, eval_newton, newton_to_symmetric
+from .errors import (
+    DimensionMismatchError,
+    InvalidParametersError,
+    ResourceBudgetError,
+    VerificationError,
+)
+from .polyalg import IntPolynomial, binom_int, newton_to_symmetric
 from .vectors import BitVector, bit_matrix
 
 __all__ = [
     "DEGREE_CONSTANT",
     "ThresholdSpec",
     "SymmetricFunctionSpec",
+    "CircuitPlan",
     "SampledThresholdCircuit",
     "SymmetricCombination",
     "SampleSkeleton",
@@ -130,11 +143,12 @@ class StepWindow:
     """Exact integer polynomial prescribing [w >= t] on weights lo..hi.
 
     Values inside the window are literal comparisons; values outside are the
-    interpolation's extrapolation, evaluated lazily from the closed-form
-    forward differences d_j = (-1)^(j-tau) * C(j-1, tau-1), tau = t - lo.
+    interpolation's extrapolation, the Newton sum of d_j * C(w - lo, j) over
+    the closed-form forward differences d_j = (-1)^(j-tau) * C(j-1, tau-1),
+    tau = t - lo.
     """
 
-    __slots__ = ("n", "lo", "hi", "t", "_off_cache")
+    __slots__ = ("n", "lo", "hi", "t")
 
     def __init__(self, n: int, lo: int, hi: int, t: int):
         if not 0 <= lo <= hi <= n:
@@ -143,7 +157,6 @@ class StepWindow:
         self.lo = lo
         self.hi = hi
         self.t = t
-        self._off_cache: dict[int, int] = {}
 
     def is_constant(self) -> bool:
         return self.t <= self.lo or self.t > self.hi
@@ -155,10 +168,11 @@ class StepWindow:
         if self.t > self.hi:
             return [0]
         tau = self.t - self.lo
-        r = self.hi - self.lo + 1
-        d = [0] * r
-        for j in range(tau, r):
-            d[j] = (-1) ** (j - tau) * binom_int(j - 1, tau - 1)
+        d = [0] * (self.hi - self.lo + 1)
+        c = 1  # C(j-1, tau-1) at j = tau; then C(j, tau-1) = C(j-1, tau-1)*j/(j-tau+1)
+        for j in range(tau, len(d)):
+            d[j] = c if (j - tau) % 2 == 0 else -c
+            c = c * j // (j - tau + 1)
         return d
 
     def value(self, w: int) -> int:
@@ -166,11 +180,14 @@ class StepWindow:
             return int(self.t <= self.lo)
         if self.lo <= w <= self.hi:
             return int(w >= self.t)
-        cached = self._off_cache.get(w)
-        if cached is None:
-            cached = eval_newton(self.newton_diffs(), self.lo, w)
-            self._off_cache[w] = cached
-        return cached
+        # each Newton term from the last, by d_(j+1)/d_j = -j/(j-tau+1) and
+        # C(x, j+1)/C(x, j) = (x-j)/(j+1): small factors only, exact division
+        tau, x = self.t - self.lo, w - self.lo
+        term, total = binom_int(x, tau), 0
+        for j in range(tau, self.hi - self.lo + 1):
+            total += term
+            term = term * -j * (x - j) // ((j - tau + 1) * (j + 1))
+        return total
 
     def degree_cap(self) -> int:
         """Window width, an upper bound on the interpolation degree."""
@@ -183,47 +200,9 @@ class StepWindow:
         )
 
 
-_window_cache: dict[tuple[int, int, int, int], StepWindow] = {}
-
-
-def _step_window(n: int, lo: int, hi: int, t: int) -> StepWindow:
-    key = (n, lo, hi, t)
-    win = _window_cache.get(key)
-    if win is None:
-        win = _window_cache.setdefault(key, StepWindow(n, lo, hi, t))
-    return win
-
-
 # ---------------------------------------------------------------------------
-# Sampling skeleton and circuits
+# Plans: the deterministic part of a draw
 # ---------------------------------------------------------------------------
-
-
-class SampleSkeleton:
-    """The per-level coordinate samples shared across a whole circuit.
-
-    maps[l] holds sizes[l+1] indices into [0, sizes[l]): entry j says which
-    level-l coordinate feeds coordinate j of the level-(l+1) sampled vector.
-    """
-
-    __slots__ = ("sizes", "maps")
-
-    def __init__(self, sizes: Sequence[int], maps: Sequence[np.ndarray]):
-        self.sizes = tuple(sizes)
-        self.maps = tuple(maps)
-
-    @property
-    def depth(self) -> int:
-        return len(self.maps)
-
-    def weight_profile(self, bits: np.ndarray) -> list[int]:
-        """Weights of the input and of each successive sampled vector."""
-        profile = [int(bits.sum())]
-        cur = bits
-        for mp in self.maps:
-            cur = cur[mp]
-            profile.append(int(cur.sum()))
-        return profile
 
 
 def _is_base(n: int, eps: Fraction) -> bool:
@@ -234,98 +213,13 @@ def _child_size(n: int) -> int:
     return max(1, n // SHRINK)
 
 
-def _level_sizes(n: int, eps: Fraction) -> list[int]:
-    """Sizes per level down to (and including) the base level."""
-    sizes = [n]
-    cur_eps = eps
-    while not _is_base(sizes[-1], cur_eps):
+def _levels(n: int, eps: Fraction) -> tuple[list[int], list[Fraction]]:
+    """Vector size and error budget per level, down to the base level."""
+    sizes, budgets = [n], [eps]
+    while not _is_base(sizes[-1], budgets[-1]):
         sizes.append(_child_size(sizes[-1]))
-        cur_eps = cur_eps / 4
-    return sizes
-
-
-def _draw_skeleton(n: int, eps: Fraction, rng: np.random.Generator) -> SampleSkeleton:
-    sizes = _level_sizes(n, eps)
-    maps = [
-        rng.integers(0, sizes[l], size=sizes[l + 1]).astype(np.int64)
-        for l in range(len(sizes) - 1)
-    ]
-    return SampleSkeleton(sizes, maps)
-
-
-class SampledThresholdCircuit:
-    """One draw from the probabilistic-polynomial distribution for a threshold.
-
-    kind == "exact_base": the circuit is the exact interpolation over all
-    weights 0..n and ``window`` covers the full range.
-
-    kind == "recursive": ``window`` is the exact band around theta*n of
-    half-width 2*a_param*sqrt(n); near_hi/near_lo/inner are the children on
-    the sampled vector, all sharing ``sample_map``.
-    """
-
-    __slots__ = ("spec", "kind", "level", "skeleton", "window", "a_param",
-                 "near_hi", "near_lo", "inner")
-
-    def __init__(self, spec, kind, level, skeleton, window, a_param=None,
-                 near_hi=None, near_lo=None, inner=None):
-        self.spec = spec
-        self.kind = kind
-        self.level = level
-        self.skeleton = skeleton
-        self.window = window
-        self.a_param = a_param
-        self.near_hi = near_hi
-        self.near_lo = near_lo
-        self.inner = inner
-
-    @property
-    def sample_map(self) -> np.ndarray | None:
-        if self.kind != "recursive":
-            return None
-        return self.skeleton.maps[self.level]
-
-    @property
-    def band_poly(self) -> IntPolynomial:
-        """The exact window interpolation as a symmetric-mode polynomial."""
-        return self.window.to_int_polynomial()
-
-    def depth(self) -> int:
-        if self.kind == "exact_base":
-            return 0
-        return 1 + self.inner.depth()
-
-    def structural_degree(self) -> int:
-        """Degree bound from the construction, without expanding anything."""
-        if self.kind == "exact_base":
-            if self.window.is_constant():
-                return 0
-            return self.spec.n  # step interpolation over 0..n has full degree
-        ds = self.near_hi.structural_degree() + self.near_lo.structural_degree()
-        return ds + max(self.window.degree_cap(), self.inner.structural_degree())
-
-    def eval_weights(self, profile: Sequence[int]) -> int:
-        w = profile[self.level]
-        if self.kind == "exact_base":
-            return self.window.value(w)
-        hi = self.near_hi.eval_weights(profile)
-        lo = self.near_lo.eval_weights(profile)
-        inner = self.inner.eval_weights(profile)
-        s = (1 - hi) * lo
-        if s == 0:  # skip the window value; off-window extrapolation is costly
-            return inner
-        return self.window.value(w) * s + inner * (1 - s)
-
-    def eval_bits(self, bits: np.ndarray) -> int:
-        if self.skeleton is None:
-            return self.window.value(int(bits.sum()))
-        return self.eval_weights(self.skeleton.weight_profile(bits))
-
-    def __repr__(self) -> str:
-        return (
-            f"SampledThresholdCircuit(n={self.spec.n}, theta={self.spec.theta}, "
-            f"eps={self.spec.eps}, kind={self.kind}, depth={self.depth()})"
-        )
+        budgets.append(budgets[-1] / 4)
+    return sizes, budgets
 
 
 def _band_bounds(n: int, theta: Fraction, a: float) -> tuple[int, int]:
@@ -342,37 +236,273 @@ def _band_bounds(n: int, theta: Fraction, a: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_node(
-    n: int,
-    theta: Fraction,
-    eps: Fraction,
-    level: int,
-    skeleton: SampleSkeleton | None,
-) -> SampledThresholdCircuit:
-    spec = ThresholdSpec(n, theta, eps)
-    t = threshold_index(theta, n)
-    if _is_base(n, eps):
-        window = _step_window(n, 0, n, t)
-        return SampledThresholdCircuit(spec, "exact_base", level, skeleton, window)
-    a = math.sqrt(SHRINK * math.log(1.0 / float(eps)))
-    lo, hi = _band_bounds(n, theta, a)
-    window = _step_window(n, lo, hi, t)
-    delta = Fraction(a / math.sqrt(n))
-    m = _child_size(n)
-    child_eps = eps / 4
-    theta_hi = min(Fraction(1), theta + delta)
-    theta_lo = max(Fraction(0), theta - delta)
-    return SampledThresholdCircuit(
-        spec,
-        "recursive",
-        level,
-        skeleton,
-        window,
-        a_param=a,
-        near_hi=_build_node(m, theta_hi, child_eps, level + 1, skeleton),
-        near_lo=_build_node(m, theta_lo, child_eps, level + 1, skeleton),
-        inner=_build_node(m, theta, child_eps, level + 1, skeleton),
+def _frozen(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """Flat, de-duplicated nodes computing f0 + sum(signs * value at roots).
+
+    Level l works on vectors of sizes[l] coordinates with error budget
+    eps[l].  Node i sits at level[i] and prescribes [w >= t[i]] on weights
+    lo[i]..hi[i] of its level's vector.  kids[i] holds the (near_hi,
+    near_lo, inner) ids at level + 1, or -1s for an exact node, whose
+    window is 0..sizes[level].  Nodes are sorted by level and, within a
+    level, exact nodes first, so every child id exceeds its parent's.
+    """
+
+    sizes: tuple[int, ...]
+    eps: tuple[Fraction, ...]
+    level: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    t: np.ndarray
+    kids: np.ndarray
+    roots: np.ndarray
+    signs: np.ndarray
+    f0: int
+
+    def window(self, i: int) -> StepWindow:
+        size = self.sizes[self.level[i]]
+        return StepWindow(size, int(self.lo[i]), int(self.hi[i]), int(self.t[i]))
+
+    def structural_degrees(self) -> list[int]:
+        """Per node, the degree bound from the construction, without expanding."""
+        deg = [0] * len(self.level)
+        for i in reversed(range(len(deg))):
+            window = self.window(i)
+            if self.kids[i, 0] < 0:
+                # a step interpolation over all weights has full degree
+                deg[i] = 0 if window.is_constant() else window.n
+            else:
+                near_hi, near_lo, inner = self.kids[i].tolist()
+                deg[i] = deg[near_hi] + deg[near_lo] + max(window.degree_cap(), deg[inner])
+        return deg
+
+    def evaluate(self, weights: np.ndarray) -> list[int]:
+        """Exact plan values for each row of a (P, levels) int64 weight matrix.
+
+        Column l of a row is the weight of the level-l sampled vector.
+        """
+        vals, redo = self._node_values(weights, exact=False)
+        out = (self.f0 + self.signs @ vals[self.roots]).tolist()
+        if redo.any():
+            rows = np.flatnonzero(redo)
+            exact, _ = self._node_values(weights[rows], exact=True)
+            sums = self.signs.astype(object) @ exact[self.roots]
+            for row, total in zip(rows.tolist(), sums.tolist()):
+                out[row] = self.f0 + total
+        return out
+
+    def _node_values(self, weights: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Node values (one row per node, one column per input) and the inputs
+        needing an off-window value.
+
+        With exact=False the cells are 0/1 int8 and an off-window cell is left
+        wrong, its input flagged; with exact=True the cells are Python ints
+        and every off-window value is computed.
+        """
+        vals = np.zeros((len(self.level), len(weights)), dtype=object if exact else np.int8)
+        redo = np.zeros(len(weights), dtype=bool)
+        bounds = np.searchsorted(self.level, np.arange(len(self.sizes) + 1)).tolist()
+        for level in reversed(range(len(self.sizes))):
+            start, stop = bounds[level], bounds[level + 1]
+            split = start + int(np.count_nonzero(self.kids[start:stop, 0] < 0))
+            w = weights[:, level]
+            lo, hi, t = (a[start:stop, None] for a in (self.lo, self.hi, self.t))
+            # the window value: right inside the window, and everywhere when
+            # the window is constant (an exact node's window holds every weight)
+            vals[start:stop] = w >= np.where(t <= lo, 0, np.where(t > hi, self.sizes[level] + 1, t))
+            if split == stop:
+                continue
+            lo, hi, t = lo[split - start:], hi[split - start:], t[split - start:]
+            near_hi, near_lo, inner = (vals[self.kids[split:stop, c]] for c in range(3))
+            s = (1 - near_hi) * near_lo
+            off = (s != 0) & ((w < lo) | (w > hi)) & ((lo < t) & (t <= hi))
+            band = vals[split:stop]
+            if exact:
+                for node, row in zip(*np.nonzero(off)):
+                    band[node, row] = self.window(split + node).value(int(w[row]))
+            else:
+                redo |= off.any(axis=0)
+            vals[split:stop] = band * s + inner * (1 - s)
+        return vals, redo
+
+
+@functools.lru_cache(maxsize=32)
+def _compile(spec: ThresholdSpec | SymmetricFunctionSpec, eps: Fraction) -> CircuitPlan:
+    """The plan of every draw for ``spec`` whose thresholds have budget eps.
+
+    A threshold spec gives one root; a symmetric spec one root per jump of
+    its weight table.  Memoised: a plan depends only on the arguments, and
+    its arrays are read-only.
+    """
+    n = spec.n
+    if isinstance(spec, ThresholdSpec):
+        f0, roots = 0, [(spec.theta, 1)]
+    else:
+        ups, downs = jump_sets(spec.values)
+        f0 = spec.values[0]
+        roots = [(Fraction(j, n), 1) for j in ups] + [(Fraction(j, n), -1) for j in downs]
+    sizes, budgets = _levels(n, eps) if roots else ([n], [eps])
+    half_widths = [math.sqrt(SHRINK * math.log(1.0 / float(e))) for e in budgets]
+    # key -> (level, lo, hi, t, child keys or None)
+    nodes: dict[tuple, tuple[int, int, int, int, tuple | None]] = {}
+
+    def node(level: int, theta: Fraction) -> tuple:
+        size = sizes[level]
+        t = threshold_index(theta, size)
+        if level == len(sizes) - 1:
+            key = ("exact", level, t)
+            nodes.setdefault(key, (level, 0, size, t, None))
+            return key
+        key = ("band", level, theta)
+        if key not in nodes:
+            a = half_widths[level]
+            lo, hi = _band_bounds(size, theta, a)
+            delta = Fraction(a / math.sqrt(size))
+            kids = (
+                node(level + 1, min(Fraction(1), theta + delta)),
+                node(level + 1, max(Fraction(0), theta - delta)),
+                node(level + 1, theta),
+            )
+            nodes[key] = (level, lo, hi, t, kids)
+        return key
+
+    root_keys = [node(0, theta) for theta, _ in roots]
+    order = sorted(nodes, key=lambda k: (nodes[k][0], nodes[k][4] is not None))
+    ids = {key: i for i, key in enumerate(order)}
+    rows = [nodes[key] for key in order]
+    return CircuitPlan(
+        sizes=tuple(sizes),
+        eps=tuple(budgets),
+        level=_frozen([r[0] for r in rows]),
+        lo=_frozen([r[1] for r in rows]),
+        hi=_frozen([r[2] for r in rows]),
+        t=_frozen([r[3] for r in rows]),
+        kids=_frozen([[ids[k] for k in r[4]] if r[4] else [-1] * 3 for r in rows]).reshape(-1, 3),
+        roots=_frozen([ids[key] for key in root_keys]),
+        signs=_frozen([sign for _, sign in roots]),
+        f0=f0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Draws: a plan plus a sampling skeleton
+# ---------------------------------------------------------------------------
+
+
+class SampleSkeleton:
+    """The per-level coordinate samples shared across a whole draw.
+
+    maps[l] holds sizes[l+1] indices into [0, sizes[l]): entry j says which
+    level-l coordinate feeds coordinate j of the level-(l+1) sampled vector.
+    """
+
+    __slots__ = ("sizes", "maps")
+
+    def __init__(self, sizes: Sequence[int], maps: Sequence[np.ndarray]):
+        self.sizes = tuple(sizes)
+        self.maps = tuple(maps)
+
+    @property
+    def depth(self) -> int:
+        return len(self.maps)
+
+    def weight_profiles(self, bits: np.ndarray) -> np.ndarray:
+        """(P, depth + 1) weights of each input row and of its sampled vectors."""
+        cols = [bits.sum(axis=1, dtype=np.int64)]
+        cur = bits
+        for mp in self.maps:
+            cur = cur[:, mp]
+            cols.append(cur.sum(axis=1, dtype=np.int64))
+        return np.stack(cols, axis=1)
+
+
+def _draw_skeleton(sizes: Sequence[int], rng: np.random.Generator) -> SampleSkeleton | None:
+    """One coordinate map per level below the top; None for a one-level plan."""
+    if len(sizes) == 1:
+        return None
+    maps = [
+        rng.integers(0, sizes[l], size=sizes[l + 1]).astype(np.int64)
+        for l in range(len(sizes) - 1)
+    ]
+    return SampleSkeleton(sizes, maps)
+
+
+class _Draw:
+    """A plan and the skeleton it reads (None when the plan has one level)."""
+
+    __slots__ = ("plan", "skeleton")
+
+    def __init__(self, plan: CircuitPlan, skeleton: SampleSkeleton | None):
+        self.plan = plan
+        self.skeleton = skeleton
+
+    def eval_rows(self, bits: np.ndarray) -> list[int]:
+        """Exact values on each row of a (P, n) 0/1 matrix, in one batch."""
+        if self.skeleton is None:
+            weights = bits.sum(axis=1, dtype=np.int64)[:, None]
+        else:
+            weights = self.skeleton.weight_profiles(bits)
+        return self.plan.evaluate(weights)
+
+    def eval_bits(self, bits: np.ndarray) -> int:
+        return self.eval_rows(bits[None, :])[0]
+
+
+class SampledThresholdCircuit(_Draw):
+    """One draw from the probabilistic-polynomial distribution for a threshold.
+
+    The plan has one root.  kind == "exact_base": the plan is one exact
+    interpolation over all weights 0..n and there is no skeleton.
+    kind == "recursive": the root's window is the exact band around theta*n
+    of half-width 2*a*sqrt(n), and its children work on the vector sampled
+    by ``sample_map``.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: ThresholdSpec, plan: CircuitPlan, skeleton: SampleSkeleton | None):
+        super().__init__(plan, skeleton)
+        self.spec = spec
+
+    @property
+    def root(self) -> int:
+        return int(self.plan.roots[0])
+
+    @property
+    def kind(self) -> str:
+        return "exact_base" if self.skeleton is None else "recursive"
+
+    @property
+    def window(self) -> StepWindow:
+        return self.plan.window(self.root)
+
+    @property
+    def sample_map(self) -> np.ndarray | None:
+        return None if self.skeleton is None else self.skeleton.maps[0]
+
+    @property
+    def band_poly(self) -> IntPolynomial:
+        """The exact window interpolation as a symmetric-mode polynomial."""
+        return self.window.to_int_polynomial()
+
+    def depth(self) -> int:
+        return len(self.plan.sizes) - 1
+
+    def structural_degree(self) -> int:
+        """Degree bound from the construction, without expanding anything."""
+        return self.plan.structural_degrees()[self.root]
+
+    def __repr__(self) -> str:
+        return (
+            f"SampledThresholdCircuit(n={self.spec.n}, theta={self.spec.theta}, "
+            f"eps={self.spec.eps}, kind={self.kind}, depth={self.depth()})"
+        )
 
 
 def sample_threshold(
@@ -384,10 +514,8 @@ def sample_threshold(
     least 1 - eps over the draw (documented for eps < 1/4); it is
     deterministic given the rng state.
     """
-    if _is_base(spec.n, spec.eps):
-        return _build_node(spec.n, spec.theta, spec.eps, 0, None)
-    skeleton = _draw_skeleton(spec.n, spec.eps, rng)
-    return _build_node(spec.n, spec.theta, spec.eps, 0, skeleton)
+    plan = _compile(spec, spec.eps)
+    return SampledThresholdCircuit(spec, plan, _draw_skeleton(plan.sizes, rng))
 
 
 def eval_circuit(c: SampledThresholdCircuit, x: BitVector) -> int:
@@ -430,31 +558,44 @@ def expand_circuit(
     Raises:
         ResourceBudgetError: when the projected or any intermediate's
             monomial count exceeds the budget (the error names the count).
+        VerificationError: when an expanded node exceeds its degree bound.
     """
-    n = c.spec.n
-    # cheap projection before any basis conversion: the window interpolation
-    # alone touches every monomial of degree <= its width
-    projected = sum(binom_int(n, deg) for deg in range(c.window.degree_cap() + 1))
-    if projected > budget:
-        raise ResourceBudgetError(
-            "circuit expansion too large", projected=projected, budget=budget
-        )
-    window_poly = c.window.to_int_polynomial()
-    if c.kind == "exact_base":
-        return _check_budget(window_poly, budget).expand(budget=budget)
-    mapping = c.sample_map
-    hi = _substitute(expand_circuit(c.near_hi, budget), mapping, n)
-    lo = _substitute(expand_circuit(c.near_lo, budget), mapping, n)
-    inner = _substitute(expand_circuit(c.inner, budget), mapping, n)
-    s = _check_budget((1 - hi) * lo, budget)
-    a_expl = _check_budget(window_poly, budget).expand(budget=budget)
-    out = _check_budget(a_expl * s + inner * (1 - s), budget)
-    bound = min(n, degree_bound(n, c.spec.eps))
-    if out.degree() > bound:
-        raise AssertionError(
-            f"expanded degree {out.degree()} exceeds bound {bound}"
-        )
-    return out
+    plan = c.plan
+    done: dict[int, IntPolynomial] = {}
+
+    def expand(i: int) -> IntPolynomial:
+        if i in done:
+            return done[i]
+        level = int(plan.level[i])
+        window = plan.window(i)
+        n = window.n
+        # cheap projection before any basis conversion: the window
+        # interpolation alone touches every monomial of degree <= its width
+        projected = sum(binom_int(n, deg) for deg in range(window.degree_cap() + 1))
+        if projected > budget:
+            raise ResourceBudgetError(
+                "circuit expansion too large", projected=projected, budget=budget
+            )
+        window_poly = window.to_int_polynomial()
+        if plan.kids[i, 0] < 0:
+            out = _check_budget(window_poly, budget).expand(budget=budget)
+        else:
+            mapping = c.skeleton.maps[level]
+            hi, lo, inner = (
+                _substitute(expand(k), mapping, n) for k in plan.kids[i].tolist()
+            )
+            s = _check_budget((1 - hi) * lo, budget)
+            a_expl = _check_budget(window_poly, budget).expand(budget=budget)
+            out = _check_budget(a_expl * s + inner * (1 - s), budget)
+            bound = min(n, degree_bound(n, plan.eps[level]))
+            if out.degree() > bound:
+                raise VerificationError(
+                    f"expanded degree {out.degree()} exceeds bound {bound}"
+                )
+        done[i] = out
+        return out
+
+    return expand(c.root)
 
 
 # ---------------------------------------------------------------------------
@@ -469,152 +610,26 @@ def jump_sets(values: Sequence[int]) -> tuple[list[int], list[int]]:
     return ups, downs
 
 
-class SymmetricCombination:
-    """Signed combination f0 + sum(up circuits) - sum(down circuits).
+class SymmetricCombination(_Draw):
+    """Signed combination f0 + sum(up thresholds) - sum(down thresholds).
 
-    All member circuits share one skeleton, so the per-level sampled vectors
-    coincide across thresholds; per-input error of the whole combination is
-    below the requested eps.  The circuit objects materialize lazily: for a
-    depth-1 draw (recursive top, exact-base children, the common desk-scale
-    shape) evaluation runs on vectorized per-threshold index arrays instead.
+    One plan holds every jump threshold as a root with sign +1 (up) or -1
+    (down), with equal nodes shared between thresholds, and all of them
+    read one skeleton, so the per-level sampled vectors coincide across
+    thresholds.  The per-input error of the whole combination is below eps.
     """
 
-    __slots__ = (
-        "spec", "eps", "f0", "up_jumps", "down_jumps", "threshold_eps",
-        "skeleton", "_fast", "_ups", "_downs",
-    )
+    __slots__ = ("spec", "eps")
 
-    def __init__(self, spec, eps, up_jumps, down_jumps, threshold_eps, skeleton):
+    def __init__(self, spec, eps, plan, skeleton):
+        super().__init__(plan, skeleton)
         self.spec = spec
         self.eps = eps
-        self.f0 = spec.values[0]
-        self.up_jumps = list(up_jumps)
-        self.down_jumps = list(down_jumps)
-        self.threshold_eps = threshold_eps
-        self.skeleton = skeleton
-        self._fast = None
-        self._ups = None
-        self._downs = None
-
-    def _build(self, jumps: list[int]) -> list[SampledThresholdCircuit]:
-        n = self.spec.n
-        return [
-            _build_node(n, Fraction(i, n), self.threshold_eps, 0, self.skeleton)
-            for i in jumps
-        ]
-
-    @property
-    def ups(self) -> list[SampledThresholdCircuit]:
-        if self._ups is None:
-            self._ups = self._build(self.up_jumps)
-        return self._ups
-
-    @property
-    def downs(self) -> list[SampledThresholdCircuit]:
-        if self._downs is None:
-            self._downs = self._build(self.down_jumps)
-        return self._downs
-
-    def circuits(self) -> list[SampledThresholdCircuit]:
-        return list(self.ups) + list(self.downs)
-
-    def eval_bits(self, bits: np.ndarray) -> int:
-        has_jumps = bool(self.up_jumps or self.down_jumps)
-        if self.skeleton is not None and self.skeleton.depth == 1 and has_jumps:
-            if self._fast is None:
-                # the index arrays depend only on (spec, eps), not the draw
-                key = (self.spec, self.threshold_eps)
-                fast = _fast_comb_cache.get(key)
-                if fast is None:
-                    fast = _fast_comb_cache.setdefault(key, _FastDepth1Combination(self))
-                self._fast = fast
-            profile = self.skeleton.weight_profile(bits)
-            return self._fast.eval(profile[0], profile[1])
-        profile = (
-            self.skeleton.weight_profile(bits)
-            if self.skeleton is not None
-            else [int(bits.sum())]
-        )
-        total = self.f0
-        for c in self.ups:
-            total += c.eval_weights(profile)
-        for c in self.downs:
-            total -= c.eval_weights(profile)
-        return total
 
     def eval(self, x: BitVector) -> int:
         if x.dim != self.spec.n:
             raise DimensionMismatchError(f"input dim {x.dim} != n {self.spec.n}")
         return self.eval_bits(bit_matrix([x])[0])
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-_fast_comb_cache: dict[tuple, "_FastDepth1Combination"] = {}
-
-
-class _FastDepth1Combination:
-    """Vectorized evaluation across all thresholds of a depth-1 combination.
-
-    Rebuilds, per threshold j/n, the top-level window bounds and the three
-    exact-child threshold indices by the same arithmetic the node builder
-    uses (integer ceilings of theta*m with theta shifted by the rationalized
-    sampling tolerance), skipping per-threshold Fraction objects.  An
-    evaluation is then a handful of array comparisons; off-window
-    interpolation values (only reachable when the sampled weight disagrees
-    with the true weight about nearness) are computed per offending
-    threshold.
-    """
-
-    def __init__(self, comb: SymmetricCombination):
-        n = comb.spec.n
-        eps = comb.threshold_eps
-        jumps = np.array(comb.up_jumps + comb.down_jumps, dtype=np.int64)
-        self.n = n
-        self.f0 = comb.f0
-        self.sign = np.array(
-            [1] * len(comb.up_jumps) + [-1] * len(comb.down_jumps), dtype=np.int64
-        )
-        a = math.sqrt(SHRINK * math.log(1.0 / float(eps)))
-        m = _child_size(n)
-        half = 2.0 * a * math.sqrt(n)
-        centers = jumps.astype(np.float64)  # theta*n is exactly the jump weight
-        self.lo = np.maximum(0, np.ceil(centers - half)).astype(np.int64)
-        self.hi = np.minimum(n, np.floor(centers + half)).astype(np.int64)
-        self.t_top = jumps  # ceil((j/n)*n) = j
-        delta = Fraction(a / math.sqrt(n))
-        p, q = delta.numerator, delta.denominator
-        den = n * q
-        self.t_hi = np.array(
-            [min(m, _ceil_div((j * q + p * n) * m, den)) for j in jumps.tolist()],
-            dtype=np.int64,
-        )
-        self.t_lo = np.array(
-            [max(0, _ceil_div((j * q - p * n) * m, den)) for j in jumps.tolist()],
-            dtype=np.int64,
-        )
-        self.t_in = (jumps * m + n - 1) // n
-
-    def eval(self, w0: int, w1: int) -> int:
-        v_hi = (w1 >= self.t_hi).astype(np.int64)
-        v_lo = (w1 >= self.t_lo).astype(np.int64)
-        v_in = (w1 >= self.t_in).astype(np.int64)
-        s = (1 - v_hi) * v_lo
-        in_window = (self.lo <= w0) & (w0 <= self.hi)
-        a_val = (w0 >= self.t_top).astype(np.int64)
-        need_off = (~in_window) & (s != 0)
-        vals = a_val * s + v_in * (1 - s)
-        total = self.f0 + int(self.sign[~need_off] @ vals[~need_off])
-        if need_off.any():
-            for i in np.nonzero(need_off)[0]:
-                win = _step_window(
-                    self.n, int(self.lo[i]), int(self.hi[i]), int(self.t_top[i])
-                )
-                m_val = win.value(w0) * int(s[i]) + int(v_in[i]) * (1 - int(s[i]))
-                total += int(self.sign[i]) * m_val
-        return total
 
 
 def sample_symmetric(
@@ -628,12 +643,8 @@ def sample_symmetric(
     """
     if not 0 < eps < 1:
         raise InvalidParametersError(f"eps must be in (0,1), got {eps}")
-    ups, downs = jump_sets(spec.values)
-    delta = Fraction(eps) / 2
-    skeleton = None
-    if (ups or downs) and not _is_base(spec.n, delta):
-        skeleton = _draw_skeleton(spec.n, delta, rng)
-    return SymmetricCombination(spec, eps, ups, downs, delta, skeleton)
+    plan = _compile(spec, Fraction(eps) / 2)
+    return SymmetricCombination(spec, eps, plan, _draw_skeleton(plan.sizes, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +669,8 @@ def measure_error(
     """Fraction of independently sampled circuits agreeing with the reference.
 
     Args:
-        sampler: draws a fresh circuit (anything with ``eval_bits``).
+        sampler: draws a fresh circuit (anything with ``eval_rows``); each
+            draw evaluates all inputs in one batch.
         reference: the exact function the circuits are supposed to compute.
         inputs: evaluation points (each gets its own agreement rate).
         trials: number of independent circuit draws.
@@ -666,14 +678,14 @@ def measure_error(
     """
     if trials < 1:
         raise InvalidParametersError("trials must be >= 1")
-    bits_rows = [bit_matrix([x])[0] for x in inputs]
+    if not inputs:
+        return []
+    bits = bit_matrix(inputs)
     ref = [reference(x) for x in inputs]
     hits = [0] * len(inputs)
     for _ in range(trials):
-        circ = sampler(rng)
-        for idx, row in enumerate(bits_rows):
-            if circ.eval_bits(row) == ref[idx]:
-                hits[idx] += 1
+        for idx, value in enumerate(sampler(rng).eval_rows(bits)):
+            hits[idx] += value == ref[idx]
     return [
         AgreementReport(inputs[i].weight(), hits[i] / trials, trials)
         for i in range(len(inputs))

@@ -7,6 +7,8 @@ import pytest
 from polyham.errors import InvalidParametersError, ResourceBudgetError
 from polyham.hammingpoly import (
     GroupPredicateSpec,
+    _exact_inner_blocks,
+    _inner_blocks,
     eval_group_pair,
     eval_group_pair_with,
     expand_hamming_masks,
@@ -266,6 +268,21 @@ def test_expansion_budget_counts_monomials(monkeypatch):
     with pytest.raises(ResourceBudgetError) as exc:
         expand_hamming_masks(hp, budget=m - 1)
     assert exc.value.projected == m
+
+
+def test_exact_inner_blocks_shared_across_draws():
+    spec = GroupPredicateSpec(2, 4, 1)
+    draws = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
+    assert all(hp.inner.skeleton is None for hp in draws)
+    blocks = _exact_inner_blocks(spec)
+    assert blocks is _exact_inner_blocks(spec) and not blocks.flags.writeable
+    for hp in draws:
+        np.testing.assert_array_equal(blocks, _inner_blocks(hp.inner, spec, 10**6))
+    masks = [expand_hamming_masks(hp) for hp in draws]
+    _exact_inner_blocks.cache_clear()
+    again = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
+    for want, hp in zip(masks, again):
+        np.testing.assert_array_equal(expand_hamming_masks(hp), want)
 
 
 def test_dimension_advisory():

@@ -4,15 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyham import probpoly
 from polyham.errors import (
     DimensionMismatchError,
     InvalidParametersError,
     ResourceBudgetError,
+    VerificationError,
 )
 from polyham.polyalg import interpolate_weights
 from polyham.probpoly import (
+    SampledThresholdCircuit,
+    StepWindow,
     SymmetricFunctionSpec,
     ThresholdSpec,
+    _compile,
     boundary_inputs,
     degree_bound,
     eval_circuit,
@@ -25,7 +30,8 @@ from polyham.probpoly import (
     threshold_index,
     threshold_value,
 )
-from polyham.vectors import BitVector
+from polyham.polyalg import binom_int, eval_newton
+from polyham.vectors import BitVector, bit_matrix
 
 HALF = Fraction(1, 2)
 
@@ -67,11 +73,14 @@ def test_recursive_structure_n1e4_eps_half():
     c = sample_threshold(ThresholdSpec(10**4, HALF, HALF), np.random.default_rng(0))
     assert c.kind == "recursive"
     assert c.sample_map.shape == (10**3,)
-    for child in (c.near_hi, c.near_lo, c.inner):
-        assert child.spec.n == 10**3
-        assert child.spec.eps == HALF / 4
-    assert c.near_hi.spec.theta > HALF > c.near_lo.spec.theta
-    assert c.inner.spec.theta == HALF
+    plan = c.plan
+    near_hi, near_lo, inner = plan.kids[c.root].tolist()
+    assert plan.level[[near_hi, near_lo, inner]].tolist() == [1, 1, 1]
+    assert plan.sizes[1] == 10**3
+    assert plan.eps[1] == HALF / 4
+    # theta ordering, read through the child thresholds t = ceil(theta * 10^3)
+    assert plan.t[near_hi] > plan.t[inner] > plan.t[near_lo]
+    assert plan.t[inner] == threshold_index(HALF, 10**3)
 
 
 def test_recursion_depth_bound():
@@ -85,11 +94,17 @@ def test_shared_sample_map_across_children_and_levels():
     c = sample_threshold(
         ThresholdSpec(30_000, HALF, Fraction(99, 100)), np.random.default_rng(2)
     )
-    assert c.kind == "recursive" and c.near_hi.kind == "recursive"
-    kids = (c.near_hi, c.near_lo, c.inner)
-    assert all(k.sample_map is c.near_hi.sample_map for k in kids)
-    grandkids = (c.near_hi.near_hi, c.near_lo.inner, c.inner.near_lo)
-    assert all(g.skeleton is c.skeleton for g in grandkids)
+    plan = c.plan
+    assert c.kind == "recursive" and c.depth() == 2
+    assert (plan.kids[plan.kids[c.root], 0] >= 0).all()  # the children recurse
+    # every child sits one level below its parent, and a level's nodes all
+    # read the one vector sampled by that level's map
+    parents = np.flatnonzero(plan.kids[:, 0] >= 0)
+    assert (plan.level[plan.kids[parents]] == plan.level[parents, None] + 1).all()
+    assert [m.shape for m in c.skeleton.maps] == [(3_000,), (300,)]
+    bits = bit_matrix([BitVector.random(np.random.default_rng(3), 30_000)])
+    sampled = bits[0][c.skeleton.maps[0]][c.skeleton.maps[1]]
+    assert c.skeleton.weight_profiles(bits)[0, 2] == sampled.sum()
 
 
 def test_eval_circuit_base_examples():
@@ -137,6 +152,14 @@ def test_expansion_budget_error_names_count():
     with pytest.raises(ResourceBudgetError) as exc:
         expand_circuit(c, budget=10**6)
     assert exc.value.projected is not None and exc.value.projected > 10**6
+
+
+def test_expansion_degree_overflow_is_a_verification_error(monkeypatch):
+    c = sample_threshold(ThresholdSpec(12, HALF, Fraction(995, 1000)), np.random.default_rng(0))
+    assert c.kind == "recursive" and expand_circuit(c).degree() > 0
+    monkeypatch.setattr(probpoly, "degree_bound", lambda n, eps: 0)
+    with pytest.raises(VerificationError):
+        expand_circuit(c)
 
 
 def test_sampling_concentration():
@@ -201,6 +224,30 @@ def test_eps_above_quarter_accepted():
     assert c.kind in ("exact_base", "recursive")
 
 
+def test_newton_diffs_recurrence_matches_binomials():
+    # the closed form, one binomial per difference
+    def closed_form(lo, hi, t):
+        if t <= lo:
+            return [1]
+        if t > hi:
+            return [0]
+        tau = t - lo
+        d = [0] * (hi - lo + 1)
+        for j in range(tau, hi - lo + 1):
+            d[j] = (-1) ** (j - tau) * binom_int(j - 1, tau - 1)
+        return d
+
+    for n in (1, 7, 40, 300):
+        for lo in sorted({0, 1, n // 3, n - 1}):
+            for hi in sorted({lo, lo + 1, (lo + n) // 2, n} - {n + 1}):
+                for t in range(lo - 2, hi + 3):
+                    window = StepWindow(n, lo, hi, t)
+                    diffs = closed_form(lo, hi, t)
+                    assert window.newton_diffs() == diffs, (n, lo, hi, t)
+                    for w in (0, lo - 1, hi + 1, n, 3 * n):
+                        assert window.value(w) == eval_newton(diffs, lo, w), (n, lo, hi, t, w)
+
+
 def test_band_poly_matches_window_values():
     c = sample_threshold(ThresholdSpec(40, HALF, Fraction(99, 100)), np.random.default_rng(7))
     assert c.kind == "recursive"
@@ -231,7 +278,7 @@ def test_jump_sets_examples():
 def test_constant_function_combination():
     spec = SymmetricFunctionSpec(5, (1,) * 6)
     comb = sample_symmetric(spec, Fraction(1, 10), np.random.default_rng(0))
-    assert comb.circuits() == []
+    assert len(comb.plan.roots) == 0 and comb.skeleton is None
     for mask in (0, 0b10101, 0b11111):
         assert comb.eval(BitVector(5, mask)) == 1
 
@@ -266,9 +313,9 @@ def test_exact_decomposition_random_tables_up_to_64():
 def test_majority_combination_is_single_threshold():
     spec = SymmetricFunctionSpec(4, (0, 0, 1, 1, 1))
     comb = sample_symmetric(spec, Fraction(1, 10), np.random.default_rng(1))
-    assert comb.up_jumps == [2] and comb.down_jumps == []
-    circs = comb.circuits()
-    assert len(circs) == 1 and circs[0].spec.theta == Fraction(2, 4)
+    plan = comb.plan
+    assert plan.signs.tolist() == [1] and plan.f0 == 0
+    assert plan.t[plan.roots].tolist() == [2]  # the threshold 2/4
     for mask in range(1 << 4):
         assert comb.eval(BitVector(4, mask)) == spec.truth(BitVector(4, mask))
 
@@ -279,30 +326,65 @@ def test_symmetric_shared_skeleton_across_thresholds():
     comb = sample_symmetric(
         SymmetricFunctionSpec(n, values), Fraction(9, 10), np.random.default_rng(2)
     )
-    circs = comb.circuits()
-    assert comb.skeleton is not None
-    assert all(c.skeleton is comb.skeleton for c in circs)
-    maps0 = {id(c.sample_map) for c in circs if c.kind == "recursive"}
-    assert len(maps0) == 1  # the level-0 draw is one shared array
+    plan = comb.plan
+    assert comb.skeleton is not None and len(comb.skeleton.maps) == 1
+    assert len(plan.roots) == n and (plan.level[plan.roots] == 0).all()
+    # every threshold's children read the one level-1 vector the shared map samples
+    assert (plan.level[plan.kids[plan.roots]] == 1).all()
+    # equal nodes are shared: one exact child per weight 0..400, not 3 per root
+    assert len(plan.level) == n + n // 10 + 1
 
 
-def test_symmetric_fast_path_equals_generic():
-    n = 4000
-    values = tuple(int(w % 2) for w in range(n + 1))
-    spec = SymmetricFunctionSpec(n, values)
+def _threshold_sum(comb, bits):
+    """f0 plus the signed sum of one-threshold plans, each compiled on its
+    own, evaluated on the combination's skeleton."""
+    n = comb.spec.n
+    ups, downs = jump_sets(comb.spec.values)
+    total = [comb.spec.values[0]] * len(bits)
+    for jumps, sign in ((ups, 1), (downs, -1)):
+        for j in jumps:
+            spec = ThresholdSpec(n, Fraction(j, n), Fraction(comb.eps) / 2)
+            circuit = SampledThresholdCircuit(spec, _compile(spec, spec.eps), comb.skeleton)
+            total = [acc + sign * v for acc, v in zip(total, circuit.eval_rows(bits))]
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, values_of, depth",
+    [
+        (4000, lambda n, w: w % 2, 1),  # parity
+        (40_000, lambda n, w: int(w == n // 2), 2),  # exact-k: two jumps
+    ],
+)
+def test_combination_plan_equals_sum_of_threshold_plans(n, values_of, depth):
+    spec = SymmetricFunctionSpec(n, tuple(values_of(n, w) for w in range(n + 1)))
     rng = np.random.default_rng(3)
     comb = sample_symmetric(spec, Fraction(9, 10), rng)
-    assert comb.skeleton is not None and comb.skeleton.depth == 1
-    from polyham.vectors import bit_matrix
+    assert comb.skeleton.depth == depth
+    inputs = [BitVector(n, (1 << w) - 1) for w in (n // 2 - 1, n // 2, n // 2 + 1)]
+    inputs += [BitVector.random(rng, n) for _ in range(6)]
+    bits = bit_matrix(inputs)
+    assert comb.eval_rows(bits) == _threshold_sum(comb, bits)
 
-    for _ in range(10):
-        x = BitVector.random(rng, n)
-        bits = bit_matrix([x])[0]
-        profile = comb.skeleton.weight_profile(bits)
-        generic = comb.f0
-        generic += sum(c.eval_weights(profile) for c in comb.ups)
-        generic -= sum(c.eval_weights(profile) for c in comb.downs)
-        assert comb.eval_bits(bits) == generic
+
+def test_batch_mixing_exact_fallback_rows():
+    # parity at n = 4000 with a row whose sampled density (about 1/2) is far
+    # from its true density (about 1/20): thresholds near 1/2 then need their
+    # interpolation outside the window, a big integer
+    n = 4000
+    spec = SymmetricFunctionSpec(n, tuple(w % 2 for w in range(n + 1)))
+    rng = np.random.default_rng(4)
+    comb = sample_symmetric(spec, Fraction(9, 10), rng)
+    far = np.zeros(n, dtype=np.uint8)
+    far[comb.skeleton.maps[0][: n // 20]] = 1
+    rows = [BitVector.random(rng, n) for _ in range(4)]
+    bits = np.vstack([bit_matrix(rows[:2]), far, bit_matrix(rows[2:])])
+    _, redo = comb.plan._node_values(comb.skeleton.weight_profiles(bits), exact=False)
+    assert redo.tolist() == [False, False, True, False, False]
+    batch = comb.eval_rows(bits)
+    assert abs(batch[2]) > 2**63  # exact beyond int64
+    assert batch == [comb.eval_bits(row) for row in bits]
+    assert batch == _threshold_sum(comb, bits)
 
 
 def test_sampled_symmetric_small_exhaustive_agreement():
