@@ -352,20 +352,27 @@ def _compile(spec: ThresholdSpec | SymmetricFunctionSpec, eps: Fraction) -> Circ
     # key -> (level, lo, hi, t, child keys or None)
     nodes: dict[tuple, tuple[int, int, int, int, tuple | None]] = {}
 
+    def exact(level: int, t: int) -> tuple:
+        key = ("exact", level, t)
+        nodes.setdefault(key, (level, 0, sizes[level], t, None))
+        return key
+
     def node(level: int, theta: Fraction) -> tuple:
         size = sizes[level]
         t = threshold_index(theta, size)
         if level == len(sizes) - 1:
-            key = ("exact", level, t)
-            nodes.setdefault(key, (level, 0, size, t, None))
-            return key
+            return exact(level, t)
         key = ("band", level, theta)
         if key not in nodes:
             a = half_widths[level]
             lo, hi = _band_bounds(size, theta, a)
             delta = Fraction(a / math.sqrt(size))
+            theta_hi = theta + delta
             kids = (
-                node(level + 1, min(Fraction(1), theta + delta)),
+                # no density exceeds 1, so past it near_hi is the constant 0
+                node(level + 1, theta_hi)
+                if theta_hi <= 1
+                else exact(level + 1, sizes[level + 1] + 1),
                 node(level + 1, max(Fraction(0), theta - delta)),
                 node(level + 1, theta),
             )

@@ -205,6 +205,25 @@ def test_measure_error_recursive_meets_guarantee():
     assert {reports[0].weight, reports[1].weight} == {t - 1, t}
 
 
+@pytest.mark.parametrize("kind", ["threshold", "parity"])
+def test_agreement_near_weight_n(kind):
+    # a near_hi child shifted past density 1 must be the constant 0, not
+    # "every sampled bit is 1"
+    n = 10**4
+    inputs = [BitVector(n, (1 << w) - 1) for w in (n - 5, n - 1, n)]
+    rng = np.random.default_rng(10)
+    if kind == "threshold":
+        eps, trials = Fraction(1, 20), 200
+        reports = measure_threshold_error(ThresholdSpec(n, Fraction(1), eps), inputs, trials, rng)
+    else:
+        eps, trials = Fraction(1, 10), 40
+        spec = SymmetricFunctionSpec(n, tuple(w % 2 for w in range(n + 1)))
+        reports = measure_symmetric_error(spec, eps, inputs, trials, rng)
+    sigma = math.sqrt(float(eps) * (1 - float(eps)) / trials)
+    assert [r.weight for r in reports] == [n - 5, n - 1, n]
+    assert all(r.agreement >= 1 - float(eps) - 3 * sigma for r in reports)
+
+
 def test_boundary_inputs_weights():
     vs = boundary_inputs(9, HALF)
     assert [v.weight() for v in vs] == [4, 5]
@@ -331,8 +350,9 @@ def test_symmetric_shared_skeleton_across_thresholds():
     assert len(plan.roots) == n and (plan.level[plan.roots] == 0).all()
     # every threshold's children read the one level-1 vector the shared map samples
     assert (plan.level[plan.kids[plan.roots]] == 1).all()
-    # equal nodes are shared: one exact child per weight 0..400, not 3 per root
-    assert len(plan.level) == n + n // 10 + 1
+    # equal nodes are shared: one exact child per threshold 0..400 and the
+    # constant 0 (t = 401) past density 1, not 3 per root
+    assert len(plan.level) == n + n // 10 + 2
 
 
 def _threshold_sum(comb, bits):
