@@ -173,20 +173,11 @@ def eval_group_pair_with(
     here realizes the "all inner evaluations correct" conditioning.
     """
     _check_groups(spec, xs, ys)
-    cache: dict[tuple[int, int], int] = {}
-
-    def p_at(i: int, j: int) -> int:
-        key = (i, j)
-        val = cache.get(key)
-        if val is None:
-            val = cache.setdefault(key, p_mod2(xs[i].bits ^ ys[j].bits))
-        return val
-
     factors = 1
     for subset in (r1, r2):
         acc = 0
         for (i, j) in subset:
-            acc ^= 1 ^ p_at(i, j)
+            acc ^= 1 ^ p_mod2(xs[i].bits ^ ys[j].bits)
         factors &= 1 ^ acc
     return 1 ^ factors
 
@@ -298,11 +289,10 @@ def _inner_blocks(
 def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
     """Read-only block masks shared by every draw whose inner circuit is exact.
 
-    Such a circuit has no skeleton, so it is the same interpolation on every
-    draw for ``spec``.  Its expansion has at most 2^d monomials, below the
-    projection the caller has already checked against its budget.
+    Such a circuit samples no coordinates, so it is the same interpolation
+    on every draw for ``spec``.  Its expansion has at most 2^d monomials,
+    below the projection the caller has already checked against its budget.
     """
-    # an exact circuit draws nothing from the generator
     inner = sample_threshold(_inner_threshold(spec), np.random.default_rng(0))
     blocks = _inner_blocks(inner, spec, projected_expansion_size(spec))
     blocks.setflags(write=False)
@@ -362,7 +352,7 @@ def expand_hamming_masks(
         raise ResourceBudgetError(
             "group polynomial expansion too large", projected=projected, budget=budget
         )
-    if hp.inner.skeleton is None:
+    if hp.inner.kind == "exact_base":
         blocks = _exact_inner_blocks(spec)
     else:
         blocks = _inner_blocks(hp.inner, spec, budget)

@@ -342,12 +342,12 @@ def _compile(spec: ThresholdSpec | SymmetricFunctionSpec, eps: Fraction) -> Circ
     """
     n = spec.n
     if isinstance(spec, ThresholdSpec):
-        f0, roots = 0, [(spec.theta, 1)]
+        f0, signed = 0, [(spec.theta, 1)]
     else:
         ups, downs = jump_sets(spec.values)
         f0 = spec.values[0]
-        roots = [(Fraction(j, n), 1) for j in ups] + [(Fraction(j, n), -1) for j in downs]
-    sizes, budgets = _levels(n, eps) if roots else ([n], [eps])
+        signed = [(Fraction(j, n), 1) for j in ups] + [(Fraction(j, n), -1) for j in downs]
+    sizes, budgets = _levels(n, eps) if signed else ([n], [eps])
     half_widths = [math.sqrt(SHRINK * math.log(1.0 / float(e))) for e in budgets]
     # key -> (level, lo, hi, t, child keys or None)
     nodes: dict[tuple, tuple[int, int, int, int, tuple | None]] = {}
@@ -379,22 +379,15 @@ def _compile(spec: ThresholdSpec | SymmetricFunctionSpec, eps: Fraction) -> Circ
             nodes[key] = (level, lo, hi, t, kids)
         return key
 
-    root_keys = [node(0, theta) for theta, _ in roots]
+    root_keys = [node(0, theta) for theta, _ in signed]
     order = sorted(nodes, key=lambda k: (nodes[k][0], nodes[k][4] is not None))
     ids = {key: i for i, key in enumerate(order)}
     rows = [nodes[key] for key in order]
-    return CircuitPlan(
-        sizes=tuple(sizes),
-        eps=tuple(budgets),
-        level=_frozen([r[0] for r in rows]),
-        lo=_frozen([r[1] for r in rows]),
-        hi=_frozen([r[2] for r in rows]),
-        t=_frozen([r[3] for r in rows]),
-        kids=_frozen([[ids[k] for k in r[4]] if r[4] else [-1] * 3 for r in rows]).reshape(-1, 3),
-        roots=_frozen([ids[key] for key in root_keys]),
-        signs=_frozen([sign for _, sign in roots]),
-        f0=f0,
-    )
+    level, lo, hi, t = (_frozen([r[c] for r in rows]) for c in range(4))
+    kids = _frozen([[ids[k] for k in r[4]] if r[4] else [-1] * 3 for r in rows]).reshape(-1, 3)
+    roots = _frozen([ids[key] for key in root_keys])
+    signs = _frozen([sign for _, sign in signed])
+    return CircuitPlan(tuple(sizes), tuple(budgets), level, lo, hi, t, kids, roots, signs, f0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +398,18 @@ def _compile(spec: ThresholdSpec | SymmetricFunctionSpec, eps: Fraction) -> Circ
 class SampleSkeleton:
     """The per-level coordinate samples shared across a whole draw.
 
-    maps[l] holds sizes[l+1] indices into [0, sizes[l]): entry j says which
-    level-l coordinate feeds coordinate j of the level-(l+1) sampled vector.
+    maps[l] holds sizes[l+1] indices into [0, sizes[l]) of the plan's level
+    sizes: entry j says which level-l coordinate feeds coordinate j of the
+    level-(l+1) sampled vector.  A one-level (exact) draw has no maps.
     """
 
-    __slots__ = ("sizes", "maps")
+    __slots__ = ("maps",)
 
-    def __init__(self, sizes: Sequence[int], maps: Sequence[np.ndarray]):
-        self.sizes = tuple(sizes)
+    def __init__(self, maps: Sequence[np.ndarray]):
         self.maps = tuple(maps)
 
-    @property
-    def depth(self) -> int:
-        return len(self.maps)
-
     def weight_profiles(self, bits: np.ndarray) -> np.ndarray:
-        """(P, depth + 1) weights of each input row and of its sampled vectors."""
+        """(P, levels) weights of each input row and of its sampled vectors."""
         cols = [bits.sum(axis=1, dtype=np.int64)]
         cur = bits
         for mp in self.maps:
@@ -429,53 +418,50 @@ class SampleSkeleton:
         return np.stack(cols, axis=1)
 
 
-def _draw_skeleton(sizes: Sequence[int], rng: np.random.Generator) -> SampleSkeleton | None:
-    """One coordinate map per level below the top; None for a one-level plan."""
-    if len(sizes) == 1:
-        return None
+def _draw_skeleton(sizes: Sequence[int], rng: np.random.Generator) -> SampleSkeleton:
+    """One coordinate map per level below the top."""
     maps = [
         rng.integers(0, sizes[l], size=sizes[l + 1]).astype(np.int64)
         for l in range(len(sizes) - 1)
     ]
-    return SampleSkeleton(sizes, maps)
+    return SampleSkeleton(maps)
 
 
 class _Draw:
-    """A plan and the skeleton it reads (None when the plan has one level)."""
+    """A spec's plan and the skeleton it reads."""
 
-    __slots__ = ("plan", "skeleton")
+    __slots__ = ("spec", "plan", "skeleton")
 
-    def __init__(self, plan: CircuitPlan, skeleton: SampleSkeleton | None):
+    def __init__(self, spec, plan: CircuitPlan, skeleton: SampleSkeleton):
+        self.spec = spec
         self.plan = plan
         self.skeleton = skeleton
 
     def eval_rows(self, bits: np.ndarray) -> list[int]:
         """Exact values on each row of a (P, n) 0/1 matrix, in one batch."""
-        if self.skeleton is None:
-            weights = bits.sum(axis=1, dtype=np.int64)[:, None]
-        else:
-            weights = self.skeleton.weight_profiles(bits)
-        return self.plan.evaluate(weights)
+        return self.plan.evaluate(self.skeleton.weight_profiles(bits))
 
     def eval_bits(self, bits: np.ndarray) -> int:
         return self.eval_rows(bits[None, :])[0]
+
+    def eval(self, x: BitVector) -> int:
+        """Evaluate the sampled polynomial at x without expanding it."""
+        if x.dim != self.spec.n:
+            raise DimensionMismatchError(f"input dim {x.dim} != n {self.spec.n}")
+        return self.eval_bits(bit_matrix([x])[0])
 
 
 class SampledThresholdCircuit(_Draw):
     """One draw from the probabilistic-polynomial distribution for a threshold.
 
     The plan has one root.  kind == "exact_base": the plan is one exact
-    interpolation over all weights 0..n and there is no skeleton.
+    interpolation over all weights 0..n and the skeleton has no maps.
     kind == "recursive": the root's window is the exact band around theta*n
     of half-width 2*a*sqrt(n), and its children work on the vector sampled
-    by ``sample_map``.
+    by the skeleton's first map.
     """
 
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: ThresholdSpec, plan: CircuitPlan, skeleton: SampleSkeleton | None):
-        super().__init__(plan, skeleton)
-        self.spec = spec
+    __slots__ = ()
 
     @property
     def root(self) -> int:
@@ -483,20 +469,11 @@ class SampledThresholdCircuit(_Draw):
 
     @property
     def kind(self) -> str:
-        return "exact_base" if self.skeleton is None else "recursive"
+        return "recursive" if self.skeleton.maps else "exact_base"
 
     @property
     def window(self) -> StepWindow:
         return self.plan.window(self.root)
-
-    @property
-    def sample_map(self) -> np.ndarray | None:
-        return None if self.skeleton is None else self.skeleton.maps[0]
-
-    @property
-    def band_poly(self) -> IntPolynomial:
-        """The exact window interpolation as a symmetric-mode polynomial."""
-        return self.window.to_int_polynomial()
 
     def depth(self) -> int:
         return len(self.plan.sizes) - 1
@@ -527,9 +504,7 @@ def sample_threshold(
 
 def eval_circuit(c: SampledThresholdCircuit, x: BitVector) -> int:
     """Evaluate the sampled polynomial without expanding it."""
-    if x.dim != c.spec.n:
-        raise DimensionMismatchError(f"input dim {x.dim} != circuit n {c.spec.n}")
-    return c.eval_bits(bit_matrix([x])[0])
+    return c.eval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +543,9 @@ def expand_circuit(
         VerificationError: when an expanded node exceeds its degree bound.
     """
     plan = c.plan
-    done: dict[int, IntPolynomial] = {}
 
+    @functools.cache  # shared nodes expand once
     def expand(i: int) -> IntPolynomial:
-        if i in done:
-            return done[i]
         level = int(plan.level[i])
         window = plan.window(i)
         n = window.n
@@ -585,21 +558,15 @@ def expand_circuit(
             )
         window_poly = window.to_int_polynomial()
         if plan.kids[i, 0] < 0:
-            out = _check_budget(window_poly, budget).expand(budget=budget)
-        else:
-            mapping = c.skeleton.maps[level]
-            hi, lo, inner = (
-                _substitute(expand(k), mapping, n) for k in plan.kids[i].tolist()
-            )
-            s = _check_budget((1 - hi) * lo, budget)
-            a_expl = _check_budget(window_poly, budget).expand(budget=budget)
-            out = _check_budget(a_expl * s + inner * (1 - s), budget)
-            bound = min(n, degree_bound(n, plan.eps[level]))
-            if out.degree() > bound:
-                raise VerificationError(
-                    f"expanded degree {out.degree()} exceeds bound {bound}"
-                )
-        done[i] = out
+            return _check_budget(window_poly, budget).expand(budget=budget)
+        mapping = c.skeleton.maps[level]
+        hi, lo, inner = (_substitute(expand(k), mapping, n) for k in plan.kids[i].tolist())
+        s = _check_budget((1 - hi) * lo, budget)
+        a_expl = _check_budget(window_poly, budget).expand(budget=budget)
+        out = _check_budget(a_expl * s + inner * (1 - s), budget)
+        bound = min(n, degree_bound(n, plan.eps[level]))
+        if out.degree() > bound:
+            raise VerificationError(f"expanded degree {out.degree()} exceeds bound {bound}")
         return out
 
     return expand(c.root)
@@ -626,17 +593,7 @@ class SymmetricCombination(_Draw):
     thresholds.  The per-input error of the whole combination is below eps.
     """
 
-    __slots__ = ("spec", "eps")
-
-    def __init__(self, spec, eps, plan, skeleton):
-        super().__init__(plan, skeleton)
-        self.spec = spec
-        self.eps = eps
-
-    def eval(self, x: BitVector) -> int:
-        if x.dim != self.spec.n:
-            raise DimensionMismatchError(f"input dim {x.dim} != n {self.spec.n}")
-        return self.eval_bits(bit_matrix([x])[0])
+    __slots__ = ()
 
 
 def sample_symmetric(
@@ -651,7 +608,7 @@ def sample_symmetric(
     if not 0 < eps < 1:
         raise InvalidParametersError(f"eps must be in (0,1), got {eps}")
     plan = _compile(spec, Fraction(eps) / 2)
-    return SymmetricCombination(spec, eps, plan, _draw_skeleton(plan.sizes, rng))
+    return SymmetricCombination(spec, plan, _draw_skeleton(plan.sizes, rng))
 
 
 # ---------------------------------------------------------------------------

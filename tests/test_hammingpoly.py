@@ -273,7 +273,7 @@ def test_expansion_budget_counts_monomials(monkeypatch):
 def test_exact_inner_blocks_shared_across_draws():
     spec = GroupPredicateSpec(2, 4, 1)
     draws = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
-    assert all(hp.inner.skeleton is None for hp in draws)
+    assert all(hp.inner.kind == "exact_base" for hp in draws)
     blocks = _exact_inner_blocks(spec)
     assert blocks is _exact_inner_blocks(spec) and not blocks.flags.writeable
     for hp in draws:

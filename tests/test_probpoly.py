@@ -72,7 +72,7 @@ def test_base_case_rule_n100_eps_half():
 def test_recursive_structure_n1e4_eps_half():
     c = sample_threshold(ThresholdSpec(10**4, HALF, HALF), np.random.default_rng(0))
     assert c.kind == "recursive"
-    assert c.sample_map.shape == (10**3,)
+    assert c.skeleton.maps[0].shape == (10**3,)
     plan = c.plan
     near_hi, near_lo, inner = plan.kids[c.root].tolist()
     assert plan.level[[near_hi, near_lo, inner]].tolist() == [1, 1, 1]
@@ -270,7 +270,7 @@ def test_newton_diffs_recurrence_matches_binomials():
 def test_band_poly_matches_window_values():
     c = sample_threshold(ThresholdSpec(40, HALF, Fraction(99, 100)), np.random.default_rng(7))
     assert c.kind == "recursive"
-    poly = c.band_poly
+    poly = c.window.to_int_polynomial()
     assert poly.is_symmetric_mode
     assert poly.degree() <= c.window.degree_cap()
     t = threshold_index(HALF, 40)
@@ -297,7 +297,7 @@ def test_jump_sets_examples():
 def test_constant_function_combination():
     spec = SymmetricFunctionSpec(5, (1,) * 6)
     comb = sample_symmetric(spec, Fraction(1, 10), np.random.default_rng(0))
-    assert len(comb.plan.roots) == 0 and comb.skeleton is None
+    assert len(comb.plan.roots) == 0 and comb.skeleton.maps == ()
     for mask in (0, 0b10101, 0b11111):
         assert comb.eval(BitVector(5, mask)) == 1
 
@@ -346,7 +346,7 @@ def test_symmetric_shared_skeleton_across_thresholds():
         SymmetricFunctionSpec(n, values), Fraction(9, 10), np.random.default_rng(2)
     )
     plan = comb.plan
-    assert comb.skeleton is not None and len(comb.skeleton.maps) == 1
+    assert len(comb.skeleton.maps) == 1
     assert len(plan.roots) == n and (plan.level[plan.roots] == 0).all()
     # every threshold's children read the one level-1 vector the shared map samples
     assert (plan.level[plan.kids[plan.roots]] == 1).all()
@@ -355,7 +355,7 @@ def test_symmetric_shared_skeleton_across_thresholds():
     assert len(plan.level) == n + n // 10 + 2
 
 
-def _threshold_sum(comb, bits):
+def _threshold_sum(comb, eps, bits):
     """f0 plus the signed sum of one-threshold plans, each compiled on its
     own, evaluated on the combination's skeleton."""
     n = comb.spec.n
@@ -363,7 +363,7 @@ def _threshold_sum(comb, bits):
     total = [comb.spec.values[0]] * len(bits)
     for jumps, sign in ((ups, 1), (downs, -1)):
         for j in jumps:
-            spec = ThresholdSpec(n, Fraction(j, n), Fraction(comb.eps) / 2)
+            spec = ThresholdSpec(n, Fraction(j, n), eps / 2)
             circuit = SampledThresholdCircuit(spec, _compile(spec, spec.eps), comb.skeleton)
             total = [acc + sign * v for acc, v in zip(total, circuit.eval_rows(bits))]
     return total
@@ -372,19 +372,20 @@ def _threshold_sum(comb, bits):
 @pytest.mark.parametrize(
     "n, values_of, depth",
     [
-        (4000, lambda n, w: w % 2, 1),  # parity
-        (40_000, lambda n, w: int(w == n // 2), 2),  # exact-k: two jumps
+        (4000, lambda n, w: w % 2, 1),
+        (40_000, lambda n, w: int(w == n // 2), 2),  # two jumps
     ],
+    ids=["parity", "exact-k"],
 )
 def test_combination_plan_equals_sum_of_threshold_plans(n, values_of, depth):
     spec = SymmetricFunctionSpec(n, tuple(values_of(n, w) for w in range(n + 1)))
     rng = np.random.default_rng(3)
     comb = sample_symmetric(spec, Fraction(9, 10), rng)
-    assert comb.skeleton.depth == depth
+    assert len(comb.skeleton.maps) == depth
     inputs = [BitVector(n, (1 << w) - 1) for w in (n // 2 - 1, n // 2, n // 2 + 1)]
     inputs += [BitVector.random(rng, n) for _ in range(6)]
     bits = bit_matrix(inputs)
-    assert comb.eval_rows(bits) == _threshold_sum(comb, bits)
+    assert comb.eval_rows(bits) == _threshold_sum(comb, Fraction(9, 10), bits)
 
 
 def test_batch_mixing_exact_fallback_rows():
@@ -404,7 +405,7 @@ def test_batch_mixing_exact_fallback_rows():
     batch = comb.eval_rows(bits)
     assert abs(batch[2]) > 2**63  # exact beyond int64
     assert batch == [comb.eval_bits(row) for row in bits]
-    assert batch == _threshold_sum(comb, bits)
+    assert batch == _threshold_sum(comb, Fraction(9, 10), bits)
 
 
 def test_sampled_symmetric_small_exhaustive_agreement():
