@@ -12,10 +12,14 @@ certainty when no pair is close, and 1 with probability exactly 3/4 over
 (R_1, R_2) when some pair is close.
 
 The polynomial lives on 2*s*d variables: the s x-blocks first, then the s
-y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion);
-``expand_hamming_masks`` produces the explicit multilinear GF(2) polynomial
-behind a monomial budget, as the (m, W) uint64 word masks the all-pairs
-matrix pipeline consumes, at every width.
+y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion).
+``factor_masks`` gives the two factors f_r = 1 + sum_{R_r} (1 + p) as
+explicit multilinear GF(2) polynomials behind a monomial budget, in the
+(m, W) uint64 word masks the all-pairs matrix pipeline consumes, at every
+width.  Evaluation respects products, so the pipeline evaluates each factor
+on all group pairs and combines the two 0/1 matrices as 1 + E1*E2; it never
+forms f1*f2.  ``expand_hamming_masks`` multiplies the factors out into q's
+own monomials, as a view for tests and debugging.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "SampledHammingPolynomial",
     "inner_error_budget",
     "sample_hamming_poly",
+    "factor_masks",
     "expand_hamming_poly",
     "expand_hamming_masks",
     "eval_group_pair",
@@ -320,6 +325,37 @@ def _parity_unique(masks: np.ndarray) -> np.ndarray:
     return masks[starts[(counts & 1) == 1]]
 
 
+def factor_masks(
+    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors f_r = 1 + sum_{(i,j) in R_r} (1 + p(x_i xor y_j)) of
+    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks, W = ceil(2*s*d / 64).
+
+    Variable v is bit v % 64 of word v // 64 (the layout of
+    ``vectors.pack_rows``).  When R_1 = R_2 the same array is returned
+    twice.  Raises ResourceBudgetError (naming the row count) if a factor
+    has more rows than the budget; budgets count monomials, not words.
+    """
+    spec = hp.spec
+    if hp.inner.kind == "exact_base":
+        blocks = _exact_inner_blocks(spec)
+    else:
+        blocks = _inner_blocks(hp.inner, spec, budget)
+    words = blocks.shape[2]
+    factors = []
+    for subset in (hp.r1, hp.r2) if hp.r1 != hp.r2 else (hp.r1,):
+        # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
+        const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
+        picked = blocks[[i * spec.s + j for (i, j) in sorted(subset)]]
+        factor = _parity_unique(np.concatenate([const, picked.reshape(-1, words)]))
+        if len(factor) > budget:
+            raise ResourceBudgetError(
+                "group polynomial factor too large", projected=len(factor), budget=budget
+            )
+        factors.append(factor)
+    return factors[0], factors[-1]
+
+
 def expand_hamming_poly(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> Gf2Polynomial:
@@ -337,33 +373,23 @@ def expand_hamming_poly(
 def expand_hamming_masks(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> np.ndarray:
-    """Expansion as sorted (m, W) uint64 monomial masks, W = ceil(2*s*d / 64).
+    """The product q = 1 + f1*f2 as sorted (m, W) uint64 monomial masks.
 
-    Variable v is bit v % 64 of word v // 64 (the layout of
-    ``vectors.pack_rows``).  The result is cached on the sampled object.
-    Raises ResourceBudgetError (naming the projected count) if the expansion
-    would exceed the budget; budgets count monomials, not words.
+    The test and debugging view of the two factors of :func:`factor_masks`;
+    the matrix pipeline evaluates the factors and never forms this product.
+    The result is cached on the sampled object.  Raises ResourceBudgetError
+    (naming the projected count) if the expansion would exceed the budget;
+    budgets count monomials, not words.
     """
     if hp.expanded_masks is not None:
         return hp.expanded_masks
-    spec = hp.spec
-    projected = projected_expansion_size(spec)
+    projected = projected_expansion_size(hp.spec)
     if projected > budget:
         raise ResourceBudgetError(
             "group polynomial expansion too large", projected=projected, budget=budget
         )
-    if hp.inner.kind == "exact_base":
-        blocks = _exact_inner_blocks(spec)
-    else:
-        blocks = _inner_blocks(hp.inner, spec, budget)
-    words = blocks.shape[2]
-    factors = []
-    for subset in (hp.r1, hp.r2):
-        # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
-        const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
-        picked = blocks[[i * spec.s + j for (i, j) in sorted(subset)]]
-        factors.append(_parity_unique(np.concatenate([const, picked.reshape(-1, words)])))
-    f1, f2 = factors
+    f1, f2 = factor_masks(hp, budget)
+    words = f1.shape[1]
     work = max(1, len(f1)) * max(1, len(f2))
     if work > 64 * budget:
         raise ResourceBudgetError(

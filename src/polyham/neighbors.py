@@ -1,11 +1,11 @@
 """Bichromatic Hamming closest pair and batch nearest neighbors.
 
 The decision pipeline groups both sides, samples a batch of group-predicate
-polynomials, evaluates every polynomial on all group pairs through the
-packed matrix product, majority-votes per group pair, and brute-forces
-inside flagged pairs.  Every positive is verified by recomputing the
-distance, so reported pairs are unconditionally sound; completeness is the
-with-high-probability side.
+polynomials, evaluates both GF(2) factors of every polynomial on all group
+pairs through the packed matrix product, majority-votes per group pair,
+and brute-forces inside flagged pairs.  Every positive is verified by
+recomputing the distance, so reported pairs are unconditionally sound;
+completeness is the with-high-probability side.
 
 When the projected polynomial size exceeds the monomial budget (the common
 case beyond a dozen dimensions) the group size is halved until it fits, and
@@ -29,14 +29,15 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
 from .hammingpoly import (
     GroupPredicateSpec,
-    expand_hamming_masks,
+    factor_masks,
     meets_dimension_advisory,
     projection_fits,
     sample_hamming_poly,
 )
-from .paireval import eval_all_pairs_masks
+from .paireval import eval_sides, pack_sides
 from .vectors import (
     DISTANCE_BUDGET_BYTES,
+    WORD_BITS,
     BitVector,
     Dataset,
     hamming_distance,
@@ -257,18 +258,23 @@ def _poly_close_pair(
     blue_packed = pack_vectors(blue, dim)
     a_bits = _group_point_bits(red_packed, dim, s)
     b_bits = _group_point_bits(blue_packed, dim, s)
+    sides = pack_sides(s * dim, a_bits, b_bits, (spec.nvars + WORD_BITS - 1) // WORD_BITS)
     votes = np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.int32)
     budget = cfg.monomial_budget
     for _ in range(rounds):
         hp = sample_hamming_poly(spec, rng)
         try:
-            masks = expand_hamming_masks(hp, budget=budget)
-            votes += eval_all_pairs_masks(masks, s * dim, a_bits, b_bits, budget)
+            # q = 1 + f1*f2 and evaluation respects products: vote on
+            # 1 + E1*E2 and never expand the product
+            f1, f2 = factor_masks(hp, budget=budget)
+            e1 = eval_sides(f1, sides, budget)
+            e2 = e1 if f2 is f1 else eval_sides(f2, sides, budget)
         except ResourceBudgetError:
             # projection admitted this size; an overflowing draw falls back
             if stats is not None:
                 stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
             return _brute_close_pair(red_packed, blue_packed, k)
+        votes += 1 ^ (e1 & e2)
 
     pairs = np.argwhere(2 * votes > rounds)
     if not len(pairs):

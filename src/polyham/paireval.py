@@ -3,7 +3,9 @@
 A polynomial P(x, y) whose monomials each split into an x-part and a y-part
 satisfies P(a, b) = sum_m xpart_m(a) * ypart_m(b) over GF(2), so evaluating
 it on A x B is one GF(2) matrix product F_A * F_B^T between feature
-matrices (one column per monomial).
+matrices (one column per monomial).  ``pack_sides`` packs A and B once, so
+several polynomials on the same inputs (the two factors of each sampled
+group polynomial) share one packing.
 
 Monomials are (m, W) uint64 word masks: variable v is bit v % 64 of word
 v // 64, the layout of ``vectors.pack_rows``.  The product is a float32
@@ -33,8 +35,10 @@ from .vectors import (
 __all__ = [
     "eval_all_pairs",
     "eval_all_pairs_masks",
+    "eval_sides",
     "gf2_matmul",
     "gf2_matmul_reference",
+    "pack_sides",
 ]
 
 MATRIX_BUDGET_DEFAULT = 1 << 20
@@ -58,11 +62,29 @@ def gf2_matmul_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
     return ((a_bits.astype(np.int64) @ b_bits.astype(np.int64).T) & 1).astype(np.uint8)
 
 
-def _place(bits: np.ndarray, offset: int, words: int) -> np.ndarray:
-    """Pack (n, w) 0/1 rows into (n, words) uint64, column c at variable offset + c."""
-    out = np.zeros((bits.shape[0], words * WORD_BITS), dtype=np.uint8)
-    out[:, offset : offset + bits.shape[1]] = bits
-    return pack_rows(out)
+def pack_sides(
+    x_width: int, a_bits: np.ndarray, b_bits: np.ndarray, words: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack both input sets once for any number of mask sets of ``words`` words.
+
+    Variables below x_width are the coordinates of the (na, x_width) 0/1
+    rows a_bits; the next b_bits.shape[1] are those of b_bits.  Each packed
+    side also holds ones on the other side's variables, so a whole mask
+    tested against one side checks only that side's part of it.
+    """
+    total = x_width + b_bits.shape[1]
+    if a_bits.shape[1] != x_width or total > words * WORD_BITS:
+        raise DimensionMismatchError(
+            f"block widths {a_bits.shape[1]}+{b_bits.shape[1]} do not fit "
+            f"x width {x_width} and {words} mask words"
+        )
+    a = np.zeros((a_bits.shape[0], words * WORD_BITS), dtype=np.uint8)
+    a[:, :x_width] = a_bits
+    a[:, x_width:total] = 1
+    b = np.zeros((b_bits.shape[0], words * WORD_BITS), dtype=np.uint8)
+    b[:, :x_width] = 1
+    b[:, x_width:total] = b_bits
+    return pack_rows(a), pack_rows(b)
 
 
 def _features(points: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -71,6 +93,37 @@ def _features(points: np.ndarray, masks: np.ndarray) -> np.ndarray:
     for w in range(1, masks.shape[1]):
         missing |= ~points[:, w, None] & masks[:, w]
     return np.equal(missing, 0, out=np.empty(missing.shape, dtype=np.float32))
+
+
+def eval_sides(
+    masks: np.ndarray,
+    sides: tuple[np.ndarray, np.ndarray],
+    budget: int = MATRIX_BUDGET_DEFAULT,
+) -> np.ndarray:
+    """All-pairs evaluation of (m, W) uint64 word masks on packed sides.
+
+    ``sides`` is the output of :func:`pack_sides` for W words.  Returns
+    uint8 out[i, j] = P(a_i, b_j) over GF(2).  Raises ResourceBudgetError
+    when the monomial count m exceeds the budget.
+    """
+    m, words = masks.shape
+    if m > budget:
+        raise ResourceBudgetError(
+            "too many monomials for the matrix pipeline", projected=m, budget=budget
+        )
+    a, b = sides
+    if a.shape[1] != words or b.shape[1] != words:
+        raise DimensionMismatchError(
+            f"sides of {a.shape[1]}/{b.shape[1]} words for masks of {words} words"
+        )
+    na, nb = a.shape[0], b.shape[0]
+    out = np.zeros((na, nb), dtype=np.uint8)
+    # A feature cell's temporaries: two uint64 words and one float32.
+    step = max(1, DISTANCE_BUDGET_BYTES // (20 * max(1, na + nb)))
+    for c0 in range(0, m, step):
+        chunk = masks[c0 : c0 + step]
+        out ^= gf2_matmul(_features(a, chunk), _features(b, chunk))
+    return out
 
 
 def eval_all_pairs_masks(
@@ -87,30 +140,8 @@ def eval_all_pairs_masks(
     uint8 out[i, j] = P(a_i, b_j) over GF(2).  Raises ResourceBudgetError
     when the monomial count m exceeds the budget.
     """
-    m, words = masks.shape
-    if m > budget:
-        raise ResourceBudgetError(
-            "too many monomials for the matrix pipeline", projected=m, budget=budget
-        )
-    if a_bits.shape[1] != x_width or x_width + b_bits.shape[1] > words * WORD_BITS:
-        raise DimensionMismatchError(
-            f"block widths {a_bits.shape[1]}+{b_bits.shape[1]} do not fit "
-            f"x width {x_width} and {words} mask words"
-        )
-    na, nb = a_bits.shape[0], b_bits.shape[0]
-    out = np.zeros((na, nb), dtype=np.uint8)
-    # b-side bits sit at their ambient offset, so masks split by a word AND
-    a = _place(a_bits, 0, words)
-    b = _place(b_bits, x_width, words)
-    x_side = _place(np.ones((1, x_width), dtype=np.uint8), 0, words)[0]
-    xmasks, ymasks = masks & x_side, masks & ~x_side
-    # A feature cell's temporaries: two uint64 words and one float32.
-    step = max(1, DISTANCE_BUDGET_BYTES // (20 * max(1, na + nb)))
-    for c0 in range(0, m, step):
-        fa = _features(a, xmasks[c0 : c0 + step])
-        fb = _features(b, ymasks[c0 : c0 + step])
-        out ^= gf2_matmul(fa, fb)
-    return out
+    sides = pack_sides(x_width, a_bits, b_bits, masks.shape[1])
+    return eval_sides(masks, sides, budget)
 
 
 def eval_all_pairs(

@@ -318,16 +318,21 @@ class CircuitPlan:
             vals[start:stop] = w >= np.where(t <= lo, 0, np.where(t > hi, self.sizes[level] + 1, t))
             if split == stop:
                 continue
-            lo, hi, t = lo[split - start:], hi[split - start:], t[split - start:]
+            lo, hi, t = (a[split:stop] for a in (self.lo, self.hi, self.t))
             near_hi, near_lo, inner = (vals[self.kids[split:stop, c]] for c in range(3))
             s = (1 - near_hi) * near_lo
-            off = (s != 0) & ((w < lo) | (w > hi)) & ((lo < t) & (t <= hi))
+            # The off-window cells, laid out (input, node) so numpy loops along
+            # the long node axis.  As unsigned, w - lo > hi - lo exactly when w
+            # is outside lo..hi; a constant window (width -1) is never off.
+            width = np.where((lo < t) & (t <= hi), hi - lo, -1).view(np.uint64)
+            off = (w[:, None] - lo).view(np.uint64) > width
+            off &= np.ascontiguousarray(s.T) != 0
             band = vals[split:stop]
             if exact:
-                for node, row in zip(*np.nonzero(off)):
+                for row, node in zip(*np.nonzero(off)):
                     band[node, row] = self.window(split + node).value(int(w[row]))
             else:
-                redo |= off.any(axis=0)
+                redo |= off.any(axis=1)
             vals[split:stop] = band * s + inner * (1 - s)
         return vals, redo
 

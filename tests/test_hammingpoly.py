@@ -7,18 +7,21 @@ import pytest
 from polyham.errors import InvalidParametersError, ResourceBudgetError
 from polyham.hammingpoly import (
     GroupPredicateSpec,
+    SampledHammingPolynomial,
     _exact_inner_blocks,
     _inner_blocks,
     eval_group_pair,
     eval_group_pair_with,
     expand_hamming_masks,
     expand_hamming_poly,
+    factor_masks,
     group_pair_truth,
     inner_error_budget,
     meets_dimension_advisory,
     projected_expansion_size,
     sample_hamming_poly,
 )
+from polyham.paireval import eval_all_pairs_masks, eval_sides, pack_sides
 from polyham.vectors import BitVector, concat
 
 
@@ -268,6 +271,97 @@ def test_expansion_budget_counts_monomials(monkeypatch):
     with pytest.raises(ResourceBudgetError) as exc:
         expand_hamming_masks(hp, budget=m - 1)
     assert exc.value.projected == m
+
+
+def draws_with_edge_subsets(spec, rng, n_random):
+    """Random draws, then the same inner circuit with R_1 and/or R_2 empty,
+    R_1 = R_2, and R_1 = R_2 = every index pair."""
+    draws = [sample_hamming_poly(spec, rng) for _ in range(n_random)]
+    hp = draws[0]
+    every = frozenset((i, j) for i in range(spec.s) for j in range(spec.s))
+    for r1, r2 in [
+        (frozenset(), hp.r2),
+        (hp.r1, frozenset()),
+        (frozenset(), frozenset()),
+        (hp.r1, hp.r1),
+        (every, every),
+    ]:
+        draws.append(SampledHammingPolynomial(spec, hp.eps, hp.inner, r1, r2))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "s, d, k, n_random",
+    [(2, 4, 0, 25), (2, 4, 1, 25), (2, 4, 2, 25), (17, 2, 1, 2)],  # (17, 2): W = 2
+)
+def test_factor_vote_equals_expanded_vote(s, d, k, n_random):
+    # q = 1 + f1*f2, so the all-pairs matrix of q is 1 ^ (E1 & E2) bit for bit
+    spec = GroupPredicateSpec(s, d, k)
+    rng = np.random.default_rng(17)
+    a_bits = rng.integers(0, 2, size=(40, s * d)).astype(np.uint8)
+    b_bits = rng.integers(0, 2, size=(33, s * d)).astype(np.uint8)
+    sides = pack_sides(s * d, a_bits, b_bits, (spec.nvars + 63) // 64)
+    draws = draws_with_edge_subsets(spec, rng, n_random)
+    for hp in draws:
+        f1, f2 = factor_masks(hp)
+        assert f1.shape[1] == f2.shape[1] == (spec.nvars + 63) // 64
+        assert (f1 is f2) == (hp.r1 == hp.r2)
+        if not hp.r1:
+            assert f1.tolist() == [[0] * f1.shape[1]]  # the constant 1
+        e1, e2 = eval_sides(f1, sides), eval_sides(f2, sides)
+        np.testing.assert_array_equal(e1, eval_all_pairs_masks(f1, s * d, a_bits, b_bits))
+        want = eval_all_pairs_masks(
+            expand_hamming_masks(hp, budget=10**7), s * d, a_bits, b_bits, budget=10**7
+        )
+        np.testing.assert_array_equal(1 ^ (e1 & e2), want)
+
+
+def test_factor_budget_counts_rows():
+    spec = GroupPredicateSpec(2, 4, 1)
+    drawn = sample_hamming_poly(spec, np.random.default_rng(18))
+    hp = SampledHammingPolynomial(
+        spec, drawn.eps, drawn.inner, frozenset({(0, 0)}), frozenset({(0, 1), (1, 1)})
+    )
+    f1, f2 = factor_masks(hp)
+    rows = len(f2)
+    assert len(f1) < rows
+    np.testing.assert_array_equal(factor_masks(hp, budget=rows)[1], f2)
+    with pytest.raises(ResourceBudgetError) as exc:
+        factor_masks(hp, budget=rows - 1)
+    assert exc.value.projected == rows
+
+
+def member_distances(red, blue, s):
+    """D[g, h, i, j]: distance from member i of red group g to member j of blue
+    group h, from 0/1 coordinates (no packing and no GF(2) code)."""
+    d = red.shape[1]
+    r = red.reshape(-1, s, 1, 1, d)
+    b = blue.reshape(1, 1, -1, s, d)
+    return (r != b).sum(axis=-1).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("s, d, k", [(2, 4, 1), (2, 6, 2), (3, 4, 1)])
+def test_group_matrix_equals_distance_formula(s, d, k):
+    # with an exact inner circuit, 1 + p(x_i xor y_j) = [D_ij <= k], so the
+    # group matrix is 1 ^ (g1 & g2), g_r = 1 ^ xor over R_r of [D_ij <= k]
+    spec = GroupPredicateSpec(s, d, k)
+    rng = np.random.default_rng(19)
+    groups = 64
+    red = rng.integers(0, 2, size=(groups * s, d)).astype(np.uint8)
+    blue = rng.integers(0, 2, size=(groups * s, d)).astype(np.uint8)
+    close = member_distances(red, blue, s) <= k
+    words = (spec.nvars + 63) // 64
+    sides = pack_sides(s * d, red.reshape(groups, -1), blue.reshape(groups, -1), words)
+    for _ in range(30):
+        hp = sample_hamming_poly(spec, rng)
+        assert hp.inner.kind == "exact_base"
+        g1, g2 = np.ones((2, groups, groups), dtype=np.uint8)
+        for g, subset in ((g1, hp.r1), (g2, hp.r2)):
+            for i, j in subset:
+                g ^= close[:, :, i, j]
+        f1, f2 = factor_masks(hp)
+        got = 1 ^ (eval_sides(f1, sides) & eval_sides(f2, sides))
+        np.testing.assert_array_equal(got, 1 ^ (g1 & g2))
 
 
 def test_exact_inner_blocks_shared_across_draws():

@@ -450,3 +450,30 @@ def test_pipeline_above_64_variables():
     found = bichromatic_close_pair(ds, 1, cfg, np.random.default_rng(2))
     assert found is not None
     assert hamming_distance(ds.red[found[0]], ds.blue[found[1]]) == 1
+
+
+def test_pipeline_never_expands_the_product(monkeypatch):
+    # the pipeline votes on the two factors; the expanded product is only a
+    # test and debugging view, so making it raise changes no answer
+    import polyham.hammingpoly as hammingpoly
+    import polyham.neighbors as neighbors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline expanded f1*f2")
+
+    monkeypatch.setattr(hammingpoly, "expand_hamming_masks", refuse)
+    monkeypatch.setattr(hammingpoly, "expand_hamming_poly", refuse)
+    calls = []
+    factor_masks = neighbors.factor_masks
+    monkeypatch.setattr(
+        neighbors, "factor_masks", lambda *a, **kw: calls.append(1) or factor_masks(*a, **kw)
+    )
+    rng = np.random.default_rng(20)
+    ds = random_dataset(rng, 20, 4)
+    assert _resolve_group_size(20, 4, ENGAGED_S2_CFG) == (2, True)
+    assert closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
+    db, queries = list(ds.red[:12]), list(ds.blue[:12])
+    res = batch_nn(db, queries, ENGAGED_S2_CFG, np.random.default_rng(2))
+    assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] == 0
+    assert res.entries == batch_nn_bruteforce(db, queries).entries
+    assert calls

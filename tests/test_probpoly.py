@@ -408,6 +408,66 @@ def test_batch_mixing_exact_fallback_rows():
     assert batch == _threshold_sum(comb, Fraction(9, 10), bits)
 
 
+def reference_plan_value(plan, profile):
+    """A plan's value on one weight profile, node by node in Python ints:
+    M = A * S + M_inner * (1 - S), S = (1 - near_hi) * near_lo."""
+    vals = [0] * len(plan.level)
+    for i in reversed(range(len(vals))):
+        window = plan.window(i)
+        w = int(profile[plan.level[i]])
+        if plan.kids[i, 0] < 0:
+            vals[i] = window.value(w)
+            continue
+        near_hi, near_lo, inner = (vals[c] for c in plan.kids[i].tolist())
+        s = (1 - near_hi) * near_lo
+        vals[i] = (window.value(w) if s else 0) * s + inner * (1 - s)
+    return plan.f0 + sum(int(sign) * vals[root] for root, sign in zip(plan.roots, plan.signs))
+
+
+@pytest.mark.parametrize(
+    "n, values_of",
+    [(4000, lambda n, w: w % 2), (40_000, lambda n, w: int(w == n // 2))],
+    ids=["parity", "exact-k"],
+)
+def test_plan_evaluation_matches_python_reference(n, values_of):
+    # the batched evaluator against the construction written out per node,
+    # on rows that need the exact off-window fallback and rows that do not
+    spec = SymmetricFunctionSpec(n, tuple(values_of(n, w) for w in range(n + 1)))
+    rng = np.random.default_rng(21)
+    comb = sample_symmetric(spec, Fraction(9, 10), rng)
+    rows = [BitVector(n, (1 << w) - 1) for w in (0, 1, n // 2 - 1, n // 2, n // 2 + 1, n)]
+    bits = bit_matrix(rows + [BitVector.random(rng, n) for _ in range(4)])
+    # sampled density 1/2 (to within a repeat), true density about 1/20 and 19/20
+    mapped, repeats = np.unique(comb.skeleton.maps[0], return_counts=True)
+    far = np.zeros((2, n), dtype=np.uint8)
+    far[1] = 1
+    far[:, mapped] = 0
+    far[:, mapped[np.cumsum(repeats) <= repeats.sum() // 2]] = 1
+    profiles = comb.skeleton.weight_profiles(np.vstack([bits, far]))
+    _, redo = comb.plan._node_values(profiles, exact=False)
+    assert redo.any() and not redo.all()
+    want = [reference_plan_value(comb.plan, p) for p in profiles.tolist()]
+    assert comb.plan.evaluate(profiles) == want
+
+
+def test_off_window_flags_at_window_edges():
+    # one recursive threshold, so only its root can flag a row: weights
+    # just outside the root's window need the exact fallback, weights on
+    # its edges do not
+    spec = ThresholdSpec(4000, Fraction(1, 2), Fraction(9, 10))
+    plan = sample_threshold(spec, np.random.default_rng(22)).plan
+    (root,) = plan.roots.tolist()
+    near_hi, near_lo, _ = plan.kids[root].tolist()
+    assert plan.t[near_lo] < plan.t[near_hi]  # sampled weight t[near_lo]: S = 1
+    lo, hi = int(plan.lo[root]), int(plan.hi[root])
+    profiles = np.array([[w, plan.t[near_lo]] for w in (lo - 1, lo, hi, hi + 1)])
+    _, redo = plan._node_values(profiles, exact=False)
+    assert redo.tolist() == [True, False, False, True]
+    want = [reference_plan_value(plan, p) for p in profiles.tolist()]
+    assert plan.evaluate(profiles) == want
+    assert want[1:3] == [0, 1] and abs(want[0]) > 1 and abs(want[3]) > 1
+
+
 def test_sampled_symmetric_small_exhaustive_agreement():
     # at n <= 10 every threshold is exact, so the combination is exact
     rng = np.random.default_rng(8)
