@@ -13,13 +13,16 @@ certainty when no pair is close, and 1 with probability exactly 3/4 over
 
 The polynomial lives on 2*s*d variables: the s x-blocks first, then the s
 y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion).
-``factor_masks`` gives the two factors f_r = 1 + sum_{R_r} (1 + p) as
-explicit multilinear GF(2) polynomials behind a monomial budget, in the
-(m, W) uint64 word masks the all-pairs matrix pipeline consumes, at every
-width.  Evaluation respects products, so the pipeline evaluates each factor
-on all group pairs and combines the two 0/1 matrices as 1 + E1*E2; it never
-forms f1*f2.  ``expand_hamming_masks`` multiplies the factors out into q's
-own monomials, as a view for tests and debugging.
+``block_masks`` gives the s^2 block polynomials P_ij = p(x_i xor y_j) of a
+draw as (m, W) uint64 word masks, the form the all-pairs matrix pipeline
+consumes, at every width.  Evaluation over GF(2) respects sums and
+products, so with B_ij the all-pairs matrix of P_ij, factor r evaluates to
+E_r = (1 + |R_r|) + sum_{R_r} B_ij (``factor_values``) and q to
+1 + E_1*E_2.  When p is exact, every draw for a spec shares the same
+blocks, so the pipeline evaluates them once per decision and each draw's
+vote is a few XORs.  ``factor_masks`` gives the two factors as explicit
+polynomials and ``expand_hamming_masks`` multiplies them out into q's own
+monomials; both are views for tests and debugging.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ __all__ = [
     "SampledHammingPolynomial",
     "inner_error_budget",
     "sample_hamming_poly",
+    "block_masks",
+    "factor_values",
     "factor_masks",
     "expand_hamming_poly",
     "expand_hamming_masks",
@@ -105,8 +110,13 @@ def meets_dimension_advisory(spec: GroupPredicateSpec) -> bool:
     return spec.d > math.e**2 * math.log2(spec.s)
 
 
+@functools.lru_cache(maxsize=32)
 def _inner_threshold(spec: GroupPredicateSpec) -> ThresholdSpec:
-    """[weight >= k+1] on d variables with error budget 1/s^3."""
+    """[weight >= k+1] on d variables with error budget 1/s^3.
+
+    Memoised: every draw for ``spec`` asks for the same threshold, and
+    building and hashing its Fractions dominated a small draw.
+    """
     return ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), inner_error_budget(spec.s))
 
 
@@ -325,28 +335,60 @@ def _parity_unique(masks: np.ndarray) -> np.ndarray:
     return masks[starts[(counts & 1) == 1]]
 
 
+def block_masks(
+    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
+) -> np.ndarray:
+    """The draw's block polynomials p(x_i xor y_j) as (s*s, R, W) uint64 masks.
+
+    Block pair (i, j) sits at index i*s + j; W = ceil(2*s*d / 64), and
+    variable v is bit v % 64 of word v // 64 (the layout of
+    ``vectors.pack_rows``).  An exact inner circuit gets the read-only array
+    shared by every draw for the spec, so identity tells a caller that
+    blocks it has already evaluated still hold.  A sampled inner circuit is
+    expanded afresh, raising ResourceBudgetError past the budget.
+    """
+    if hp.inner.kind == "exact_base":
+        return _exact_inner_blocks(hp.spec)
+    return _inner_blocks(hp.inner, hp.spec, budget)
+
+
+def _subset_index(subset: frozenset, s: int) -> list[int]:
+    return [i * s + j for (i, j) in subset]
+
+
+def factor_values(block_values: np.ndarray, subset: frozenset, s: int) -> np.ndarray:
+    """Factor 1 + sum_{(i,j) in subset} (1 + P_ij) from its blocks' values.
+
+    ``block_values`` holds, at index i*s + j, a 0/1 uint8 array of P_ij's
+    values (for example its all-pairs matrix); over GF(2) the factor is
+    (1 + |subset|) + sum P_ij, so the result is that XOR.
+    """
+    const = 1 - len(subset) % 2
+    picked = block_values[_subset_index(subset, s)]
+    return np.bitwise_xor.reduce(picked, axis=0, initial=const)
+
+
 def factor_masks(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two factors f_r = 1 + sum_{(i,j) in R_r} (1 + p(x_i xor y_j)) of
-    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks, W = ceil(2*s*d / 64).
+    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks in the layout of
+    :func:`block_masks`.
 
-    Variable v is bit v % 64 of word v // 64 (the layout of
-    ``vectors.pack_rows``).  When R_1 = R_2 the same array is returned
-    twice.  Raises ResourceBudgetError (naming the row count) if a factor
-    has more rows than the budget; budgets count monomials, not words.
+    A test and debugging view: the pipeline evaluates the blocks and
+    combines their values with :func:`factor_values`.  When R_1 = R_2 the
+    same array is returned twice.  Raises ResourceBudgetError (naming the
+    row count) if a factor has more rows than the budget; budgets count
+    monomials, not words.
     """
     spec = hp.spec
-    if hp.inner.kind == "exact_base":
-        blocks = _exact_inner_blocks(spec)
-    else:
-        blocks = _inner_blocks(hp.inner, spec, budget)
+    blocks = block_masks(hp, budget)
     words = blocks.shape[2]
     factors = []
     for subset in (hp.r1, hp.r2) if hp.r1 != hp.r2 else (hp.r1,):
         # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
         const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
-        picked = blocks[[i * spec.s + j for (i, j) in sorted(subset)]]
+        picked = blocks[_subset_index(subset, spec.s)]
         factor = _parity_unique(np.concatenate([const, picked.reshape(-1, words)]))
         if len(factor) > budget:
             raise ResourceBudgetError(
@@ -376,7 +418,7 @@ def expand_hamming_masks(
     """The product q = 1 + f1*f2 as sorted (m, W) uint64 monomial masks.
 
     The test and debugging view of the two factors of :func:`factor_masks`;
-    the matrix pipeline evaluates the factors and never forms this product.
+    the matrix pipeline never forms this product.
     The result is cached on the sampled object.  Raises ResourceBudgetError
     (naming the projected count) if the expansion would exceed the budget;
     budgets count monomials, not words.

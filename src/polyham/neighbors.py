@@ -1,11 +1,14 @@
 """Bichromatic Hamming closest pair and batch nearest neighbors.
 
 The decision pipeline groups both sides, samples a batch of group-predicate
-polynomials, evaluates both GF(2) factors of every polynomial on all group
-pairs through the packed matrix product, majority-votes per group pair,
-and brute-forces inside flagged pairs.  Every positive is verified by
-recomputing the distance, so reported pairs are unconditionally sound;
-completeness is the with-high-probability side.
+polynomials, and majority-votes per group pair.  Each polynomial is
+1 + f1*f2 with factors f_r = (1 + |R_r|) + sum_{R_r} P_ij over the s^2
+block polynomials P_ij.  The blocks of an exact inner circuit are the same
+on every draw, so the decision evaluates them once on all group pairs
+through the packed GF(2) matrix product, and each draw votes with XORs of
+those matrices.  Flagged pairs are brute-forced.  Every positive is
+verified by recomputing the distance, so reported pairs are
+unconditionally sound; completeness is the with-high-probability side.
 
 When the projected polynomial size exceeds the monomial budget (the common
 case beyond a dozen dimensions) the group size is halved until it fits, and
@@ -29,7 +32,8 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
 from .hammingpoly import (
     GroupPredicateSpec,
-    factor_masks,
+    block_masks,
+    factor_values,
     meets_dimension_advisory,
     projection_fits,
     sample_hamming_poly,
@@ -261,19 +265,22 @@ def _poly_close_pair(
     sides = pack_sides(s * dim, a_bits, b_bits, (spec.nvars + WORD_BITS - 1) // WORD_BITS)
     votes = np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.int32)
     budget = cfg.monomial_budget
+    blocks = values = None
     for _ in range(rounds):
         hp = sample_hamming_poly(spec, rng)
         try:
-            # q = 1 + f1*f2 and evaluation respects products: vote on
-            # 1 + E1*E2 and never expand the product
-            f1, f2 = factor_masks(hp, budget=budget)
-            e1 = eval_sides(f1, sides, budget)
-            e2 = e1 if f2 is f1 else eval_sides(f2, sides, budget)
+            drawn = block_masks(hp, budget=budget)
+            if drawn is not blocks:  # an exact inner circuit keeps its blocks
+                values = np.stack([eval_sides(block, sides, budget) for block in drawn])
+                blocks = drawn
         except ResourceBudgetError:
             # projection admitted this size; an overflowing draw falls back
             if stats is not None:
                 stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
             return _brute_close_pair(red_packed, blue_packed, k)
+        # evaluation respects sums and products: q = 1 + f1*f2 votes 1 + E1*E2
+        e1 = factor_values(values, hp.r1, s)
+        e2 = e1 if hp.r2 == hp.r1 else factor_values(values, hp.r2, s)
         votes += 1 ^ (e1 & e2)
 
     pairs = np.argwhere(2 * votes > rounds)

@@ -4,8 +4,9 @@ A polynomial P(x, y) whose monomials each split into an x-part and a y-part
 satisfies P(a, b) = sum_m xpart_m(a) * ypart_m(b) over GF(2), so evaluating
 it on A x B is one GF(2) matrix product F_A * F_B^T between feature
 matrices (one column per monomial).  ``pack_sides`` packs A and B once, so
-several polynomials on the same inputs (the two factors of each sampled
-group polynomial) share one packing.
+several polynomials on the same inputs (the s^2 block polynomials of a
+closest-pair decision, each evaluated once per decision) share one
+packing.
 
 Monomials are (m, W) uint64 word masks: variable v is bit v % 64 of word
 v // 64, the layout of ``vectors.pack_rows``.  The product is a float32

@@ -288,11 +288,16 @@ class CircuitPlan:
         Column l of a row is the weight of the level-l sampled vector.
         """
         vals, redo = self._node_values(weights, exact=False)
-        out = (self.f0 + self.signs @ vals[self.roots]).tolist()
+        up = self.signs > 0
+        plus, minus = self.roots[up], self.roots[~up]
+        # signs are +-1: plus-root rows minus minus-root rows, summed exactly
+        # in int64 (numpy has no BLAS path for an int64-by-int8 matmul)
+        sums = vals[plus].sum(axis=0, dtype=np.int64) - vals[minus].sum(axis=0, dtype=np.int64)
+        out = (self.f0 + sums).tolist()
         if redo.any():
             rows = np.flatnonzero(redo)
             exact, _ = self._node_values(weights[rows], exact=True)
-            sums = self.signs.astype(object) @ exact[self.roots]
+            sums = exact[plus].sum(axis=0) - exact[minus].sum(axis=0)
             for row, total in zip(rows.tolist(), sums.tolist()):
                 out[row] = self.f0 + total
         return out

@@ -10,11 +10,13 @@ from polyham.hammingpoly import (
     SampledHammingPolynomial,
     _exact_inner_blocks,
     _inner_blocks,
+    block_masks,
     eval_group_pair,
     eval_group_pair_with,
     expand_hamming_masks,
     expand_hamming_poly,
     factor_masks,
+    factor_values,
     group_pair_truth,
     inner_error_budget,
     meets_dimension_advisory,
@@ -316,6 +318,31 @@ def test_factor_vote_equals_expanded_vote(s, d, k, n_random):
         np.testing.assert_array_equal(1 ^ (e1 & e2), want)
 
 
+@pytest.mark.parametrize(
+    "s, d, k, n_random",
+    [(2, 4, 0, 25), (2, 4, 1, 25), (2, 4, 2, 25), (17, 2, 1, 2)],  # (17, 2): W = 2
+)
+def test_block_votes_equal_factor_votes(s, d, k, n_random):
+    # evaluation is linear over GF(2): factor r is (1 + |R_r|) plus the XOR
+    # of its blocks' all-pairs matrices, so one evaluation per block serves
+    # every draw
+    spec = GroupPredicateSpec(s, d, k)
+    rng = np.random.default_rng(24)
+    a_bits = rng.integers(0, 2, size=(37, s * d)).astype(np.uint8)
+    b_bits = rng.integers(0, 2, size=(29, s * d)).astype(np.uint8)
+    sides = pack_sides(s * d, a_bits, b_bits, (spec.nvars + 63) // 64)
+    draws = draws_with_edge_subsets(spec, rng, n_random)
+    blocks = block_masks(draws[0])
+    assert blocks.shape[0] == s * s
+    values = np.stack([eval_sides(block, sides) for block in blocks])
+    for hp in draws:
+        assert block_masks(hp) is blocks  # exact inner circuit: shared blocks
+        for subset, factor in zip((hp.r1, hp.r2), factor_masks(hp)):
+            got = factor_values(values, subset, s)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, eval_sides(factor, sides))
+
+
 def test_factor_budget_counts_rows():
     spec = GroupPredicateSpec(2, 4, 1)
     drawn = sample_hamming_poly(spec, np.random.default_rng(18))
@@ -352,6 +379,7 @@ def test_group_matrix_equals_distance_formula(s, d, k):
     close = member_distances(red, blue, s) <= k
     words = (spec.nvars + 63) // 64
     sides = pack_sides(s * d, red.reshape(groups, -1), blue.reshape(groups, -1), words)
+    values = np.stack([eval_sides(block, sides) for block in _exact_inner_blocks(spec)])
     for _ in range(30):
         hp = sample_hamming_poly(spec, rng)
         assert hp.inner.kind == "exact_base"
@@ -359,9 +387,13 @@ def test_group_matrix_equals_distance_formula(s, d, k):
         for g, subset in ((g1, hp.r1), (g2, hp.r2)):
             for i, j in subset:
                 g ^= close[:, :, i, j]
+        want = 1 ^ (g1 & g2)
         f1, f2 = factor_masks(hp)
         got = 1 ^ (eval_sides(f1, sides) & eval_sides(f2, sides))
-        np.testing.assert_array_equal(got, 1 ^ (g1 & g2))
+        np.testing.assert_array_equal(got, want)
+        # the pipeline's vote: XORs of the block matrices evaluated once
+        e1, e2 = (factor_values(values, subset, s) for subset in (hp.r1, hp.r2))
+        np.testing.assert_array_equal(1 ^ (e1 & e2), want)
 
 
 def test_exact_inner_blocks_shared_across_draws():

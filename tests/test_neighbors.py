@@ -452,9 +452,18 @@ def test_pipeline_above_64_variables():
     assert hamming_distance(ds.red[found[0]], ds.blue[found[1]]) == 1
 
 
+def spy(monkeypatch, module, name):
+    """Wrap module.name so that every call appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
 def test_pipeline_never_expands_the_product(monkeypatch):
-    # the pipeline votes on the two factors; the expanded product is only a
-    # test and debugging view, so making it raise changes no answer
+    # the pipeline votes on the factors' values, XORed from the block
+    # matrices; the expanded product is only a test and debugging view, so
+    # making it raise changes no answer
     import polyham.hammingpoly as hammingpoly
     import polyham.neighbors as neighbors
 
@@ -463,11 +472,7 @@ def test_pipeline_never_expands_the_product(monkeypatch):
 
     monkeypatch.setattr(hammingpoly, "expand_hamming_masks", refuse)
     monkeypatch.setattr(hammingpoly, "expand_hamming_poly", refuse)
-    calls = []
-    factor_masks = neighbors.factor_masks
-    monkeypatch.setattr(
-        neighbors, "factor_masks", lambda *a, **kw: calls.append(1) or factor_masks(*a, **kw)
-    )
+    calls = spy(monkeypatch, neighbors, "block_masks")
     rng = np.random.default_rng(20)
     ds = random_dataset(rng, 20, 4)
     assert _resolve_group_size(20, 4, ENGAGED_S2_CFG) == (2, True)
@@ -477,3 +482,50 @@ def test_pipeline_never_expands_the_product(monkeypatch):
     assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] == 0
     assert res.entries == batch_nn_bruteforce(db, queries).entries
     assert calls
+
+
+def test_pipeline_draws_rounds_polynomials_per_decision(monkeypatch):
+    # benchmark probes and path gates count draws through this one name, so
+    # a decision must call sample_hamming_poly exactly once per round
+    import polyham.neighbors as neighbors
+
+    decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
+    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    ds = random_dataset(np.random.default_rng(21), 20, 4)
+    closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1))
+    batch_nn(list(ds.red[:12]), list(ds.blue[:12]), ENGAGED_S2_CFG, np.random.default_rng(2))
+    assert decisions and len(draws) == ENGAGED_S2_CFG.rounds * len(decisions)
+
+
+def test_block_polynomials_evaluated_once_per_decision(monkeypatch):
+    # an exact inner circuit has the same s^2 blocks on every draw: one
+    # product per block per decision, not one per factor per draw
+    import polyham.neighbors as neighbors
+
+    decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
+    products = spy(monkeypatch, neighbors, "eval_sides")
+    ds = random_dataset(np.random.default_rng(22), 20, 4)
+    assert closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
+    assert decisions and len(products) == 2 * 2 * len(decisions)
+
+
+def test_budget_fallback_still_fires(monkeypatch):
+    # the planner admits the size, but every block has more rows than the
+    # budget: each decision falls back to brute force and says so
+    import polyham.neighbors as neighbors
+    from polyham.hammingpoly import GroupPredicateSpec, _exact_inner_blocks
+
+    d = 4
+    rows = min(_exact_inner_blocks(GroupPredicateSpec(2, d, k)).shape[1] for k in range(d))
+    monkeypatch.setattr(neighbors, "projection_fits", lambda spec, budget: True)
+    cfg = ClosestPairConfig(s=2, rounds=9, monomial_budget=rows - 1)
+    assert _resolve_group_size(20, d, cfg) == (2, True)
+    ds = random_dataset(np.random.default_rng(23), 20, d)
+    want = closest_pair_bruteforce(ds)
+    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    assert closest_pair(ds, cfg, np.random.default_rng(1)) == want
+    assert brute
+    db, queries = list(ds.red[:12]), list(ds.blue[:12])
+    res = batch_nn(db, queries, cfg, np.random.default_rng(2))
+    assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] > 0
+    assert res.entries == batch_nn_bruteforce(db, queries).entries
