@@ -16,13 +16,15 @@ y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion).
 ``block_masks`` gives the s^2 block polynomials P_ij = p(x_i xor y_j) of a
 draw as (m, W) uint64 word masks, the form the all-pairs matrix pipeline
 consumes, at every width.  Evaluation over GF(2) respects sums and
-products, so with B_ij the all-pairs matrix of P_ij, factor r evaluates to
-E_r = (1 + |R_r|) + sum_{R_r} B_ij (``factor_values``) and q to
-1 + E_1*E_2.  When p is exact, every draw for a spec shares the same
-blocks, so the pipeline evaluates them once per decision and each draw's
-vote is a few XORs.  ``factor_masks`` gives the two factors as explicit
-polynomials and ``expand_hamming_masks`` multiplies them out into q's own
-monomials; both are views for tests and debugging.
+products, so on a pair of groups whose blocks take the values b_ij, factor
+r evaluates to E_r = (1 + |R_r|) + sum_{R_r} b_ij and q to 1 + E_1*E_2: a
+draw's vote depends only on the s^2-bit pattern b.  p is exact at every
+size the pipeline reaches, so every draw for a spec shares the same
+blocks; the pipeline evaluates them once per decision and reads the votes
+of all its draws from one table indexed by the pattern.  ``factor_masks``
+gives the two factors as explicit polynomials and ``expand_hamming_masks``
+multiplies them out into q's own monomials; both are views for tests and
+debugging.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ from .errors import InvalidParametersError, ResourceBudgetError
 from .polyalg import Gf2Polynomial, binom_int
 from .probpoly import (
     EXPANSION_BUDGET_DEFAULT,
+    CircuitPlan,
     SampledThresholdCircuit,
     ThresholdSpec,
+    _compile,
+    _draw_skeleton,
     degree_bound,
     expand_circuit,
     sample_threshold,
@@ -53,7 +58,6 @@ __all__ = [
     "inner_error_budget",
     "sample_hamming_poly",
     "block_masks",
-    "factor_values",
     "factor_masks",
     "expand_hamming_poly",
     "expand_hamming_masks",
@@ -111,13 +115,19 @@ def meets_dimension_advisory(spec: GroupPredicateSpec) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _inner_threshold(spec: GroupPredicateSpec) -> ThresholdSpec:
-    """[weight >= k+1] on d variables with error budget 1/s^3.
+def _draw_parts(
+    spec: GroupPredicateSpec,
+) -> tuple[ThresholdSpec, CircuitPlan, tuple[tuple[int, int], ...]]:
+    """What every draw for ``spec`` shares: the inner threshold [weight >=
+    k+1] on d variables with error budget 1/s^3, its compiled plan, and the
+    s^2 index pairs in block order.
 
-    Memoised: every draw for ``spec`` asks for the same threshold, and
-    building and hashing its Fractions dominated a small draw.
+    Memoised: building and hashing the threshold's Fractions dominated a
+    small draw.
     """
-    return ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), inner_error_budget(spec.s))
+    inner = ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), inner_error_budget(spec.s))
+    pairs = tuple((i, j) for i in range(spec.s) for j in range(spec.s))
+    return inner, _compile(inner, inner.eps), pairs
 
 
 class SampledHammingPolynomial:
@@ -148,12 +158,13 @@ def sample_hamming_poly(
     Each element of [s]^2 enters R_1 and R_2 by an independent fair coin;
     empty subsets are legal draws.
     """
-    inner = sample_threshold(_inner_threshold(spec), rng)
-    pairs = [(i, j) for i in range(spec.s) for j in range(spec.s)]
-    coins = rng.integers(0, 2, size=2 * len(pairs))
-    r1 = frozenset(p for p, c in zip(pairs, coins[: len(pairs)]) if c)
+    inner_spec, plan, pairs = _draw_parts(spec)
+    # sample_threshold's draw, with the plan looked up once per spec
+    inner = SampledThresholdCircuit(inner_spec, plan, _draw_skeleton(plan.sizes, rng))
+    coins = rng.integers(0, 2, size=2 * len(pairs)).tolist()
+    r1 = frozenset(p for p, c in zip(pairs, coins) if c)
     r2 = frozenset(p for p, c in zip(pairs, coins[len(pairs):]) if c)
-    return SampledHammingPolynomial(spec, inner.spec.eps, inner, r1, r2)
+    return SampledHammingPolynomial(spec, inner_spec.eps, inner, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +319,7 @@ def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
     on every draw for ``spec``.  Its expansion has at most 2^d monomials,
     below the projection the caller has already checked against its budget.
     """
-    inner = sample_threshold(_inner_threshold(spec), np.random.default_rng(0))
+    inner = sample_threshold(_draw_parts(spec)[0], np.random.default_rng(0))
     blocks = _inner_blocks(inner, spec, projected_expansion_size(spec))
     blocks.setflags(write=False)
     return blocks
@@ -342,30 +353,24 @@ def block_masks(
 
     Block pair (i, j) sits at index i*s + j; W = ceil(2*s*d / 64), and
     variable v is bit v % 64 of word v // 64 (the layout of
-    ``vectors.pack_rows``).  An exact inner circuit gets the read-only array
-    shared by every draw for the spec, so identity tells a caller that
-    blocks it has already evaluated still hold.  A sampled inner circuit is
-    expanded afresh, raising ResourceBudgetError past the budget.
+    ``vectors.pack_rows``).  Every draw for a spec gets the same read-only
+    array, so one evaluation of the blocks serves all of them.  Raises
+    ResourceBudgetError when a block has more than ``budget`` rows, and
+    when the inner circuit is sampled: such a draw's blocks are its own,
+    and where sampling starts (d = 2,331 at s = 1) their expansion is far
+    past any budget.
     """
-    if hp.inner.kind == "exact_base":
-        return _exact_inner_blocks(hp.spec)
-    return _inner_blocks(hp.inner, hp.spec, budget)
-
-
-def _subset_index(subset: frozenset, s: int) -> list[int]:
-    return [i * s + j for (i, j) in subset]
-
-
-def factor_values(block_values: np.ndarray, subset: frozenset, s: int) -> np.ndarray:
-    """Factor 1 + sum_{(i,j) in subset} (1 + P_ij) from its blocks' values.
-
-    ``block_values`` holds, at index i*s + j, a 0/1 uint8 array of P_ij's
-    values (for example its all-pairs matrix); over GF(2) the factor is
-    (1 + |subset|) + sum P_ij, so the result is that XOR.
-    """
-    const = 1 - len(subset) % 2
-    picked = block_values[_subset_index(subset, s)]
-    return np.bitwise_xor.reduce(picked, axis=0, initial=const)
+    if hp.inner.kind != "exact_base":
+        raise ResourceBudgetError(
+            f"inner circuit on {hp.spec.d} variables is sampled, not exact: "
+            "its blocks would differ per draw and are not expanded"
+        )
+    blocks = _exact_inner_blocks(hp.spec)
+    if blocks.shape[1] > budget:
+        raise ResourceBudgetError(
+            "inner block polynomial too large", projected=blocks.shape[1], budget=budget
+        )
+    return blocks
 
 
 def factor_masks(
@@ -375,8 +380,8 @@ def factor_masks(
     q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks in the layout of
     :func:`block_masks`.
 
-    A test and debugging view: the pipeline evaluates the blocks and
-    combines their values with :func:`factor_values`.  When R_1 = R_2 the
+    A test and debugging view: the pipeline evaluates the blocks and votes
+    from their values.  When R_1 = R_2 the
     same array is returned twice.  Raises ResourceBudgetError (naming the
     row count) if a factor has more rows than the budget; budgets count
     monomials, not words.
@@ -388,7 +393,7 @@ def factor_masks(
     for subset in (hp.r1, hp.r2) if hp.r1 != hp.r2 else (hp.r1,):
         # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
         const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
-        picked = blocks[_subset_index(subset, spec.s)]
+        picked = blocks[[i * spec.s + j for i, j in subset]]
         factor = _parity_unique(np.concatenate([const, picked.reshape(-1, words)]))
         if len(factor) > budget:
             raise ResourceBudgetError(

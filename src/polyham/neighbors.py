@@ -4,11 +4,14 @@ The decision pipeline groups both sides, samples a batch of group-predicate
 polynomials, and majority-votes per group pair.  Each polynomial is
 1 + f1*f2 with factors f_r = (1 + |R_r|) + sum_{R_r} P_ij over the s^2
 block polynomials P_ij.  The blocks of an exact inner circuit are the same
-on every draw, so the decision evaluates them once on all group pairs
-through the packed GF(2) matrix product, and each draw votes with XORs of
-those matrices.  Flagged pairs are brute-forced.  Every positive is
-verified by recomputing the distance, so reported pairs are
-unconditionally sound; completeness is the with-high-probability side.
+on every draw, so a draw's vote on a group pair depends only on the s^2
+bits its blocks take there, and the votes of all the decision's draws are
+one table indexed by that pattern.  The decision evaluates the blocks once
+on all group pairs through the packed GF(2) matrix product, a tile of red
+groups at a time within a byte budget, and looks each cell's pattern up in
+the table.  Flagged pairs are brute-forced.  Every positive is verified by
+recomputing the distance, so reported pairs are unconditionally sound;
+completeness is the with-high-probability side.
 
 When the projected polynomial size exceeds the monomial budget (the common
 case beyond a dozen dimensions) the group size is halved until it fits, and
@@ -33,7 +36,6 @@ from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
 from .hammingpoly import (
     GroupPredicateSpec,
     block_masks,
-    factor_values,
     meets_dimension_advisory,
     projection_fits,
     sample_hamming_poly,
@@ -41,7 +43,6 @@ from .hammingpoly import (
 from .paireval import eval_sides, pack_sides
 from .vectors import (
     DISTANCE_BUDGET_BYTES,
-    WORD_BITS,
     BitVector,
     Dataset,
     hamming_distance,
@@ -244,54 +245,105 @@ def _group_point_bits(packed: np.ndarray, dim: int, s: int) -> np.ndarray:
     return bits[idx].reshape(n_groups, s * bits.shape[1])
 
 
-def _poly_close_pair(
-    red: Sequence[BitVector],
-    blue: Sequence[BitVector],
-    dim: int,
-    k: int,
-    s: int,
-    rounds: int,
-    cfg: ClosestPairConfig,
-    rng: np.random.Generator,
-    stats: dict | None = None,
-) -> tuple[int, int, int] | None:
-    """Grouped majority-vote pipeline; returns a verified best pair or None."""
-    nr, nb = len(red), len(blue)
-    spec = GroupPredicateSpec(s, dim, k)
-    red_packed = pack_vectors(red, dim)
-    blue_packed = pack_vectors(blue, dim)
-    a_bits = _group_point_bits(red_packed, dim, s)
-    b_bits = _group_point_bits(blue_packed, dim, s)
-    sides = pack_sides(s * dim, a_bits, b_bits, (spec.nvars + WORD_BITS - 1) // WORD_BITS)
-    votes = np.zeros((a_bits.shape[0], b_bits.shape[0]), dtype=np.int32)
-    budget = cfg.monomial_budget
-    blocks = values = None
-    for _ in range(rounds):
-        hp = sample_hamming_poly(spec, rng)
-        try:
-            drawn = block_masks(hp, budget=budget)
-            if drawn is not blocks:  # an exact inner circuit keeps its blocks
-                values = np.stack([eval_sides(block, sides, budget) for block in drawn])
-                blocks = drawn
-        except ResourceBudgetError:
-            # projection admitted this size; an overflowing draw falls back
-            if stats is not None:
-                stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
-            return _brute_close_pair(red_packed, blue_packed, k)
-        # evaluation respects sums and products: q = 1 + f1*f2 votes 1 + E1*E2
-        e1 = factor_values(values, hp.r1, s)
-        e2 = e1 if hp.r2 == hp.r1 else factor_values(values, hp.r2, s)
-        votes += 1 ^ (e1 & e2)
+def _coin_matrix(draws: Sequence, s: int) -> np.ndarray:
+    """(2, draws, width) uint8: the subsets R_1 and R_2 of each draw as
+    block patterns, index pair (i, j) at bit b % 8 of byte b // 8 for
+    b = i*s + j, width = ceil(s*s / 8)."""
+    bits = np.zeros((2, len(draws), s * s), dtype=np.uint8)
+    flat = [
+        (r * len(draws) + t) * s * s + i * s + j
+        for t, hp in enumerate(draws)
+        for r, subset in enumerate((hp.r1, hp.r2))
+        for i, j in subset
+    ]
+    bits.reshape(-1)[flat] = 1
+    return np.packbits(bits, axis=2, bitorder="little")
 
-    pairs = np.argwhere(2 * votes > rounds)
-    if not len(pairs):
+
+def _majority(patterns: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """Whether most of a decision's draws vote 1 on each block pattern.
+
+    ``patterns`` is (u, width) uint8 in the layout of :func:`_coin_matrix`,
+    bit i*s + j the value of block (i, j); ``coins`` is :func:`_coin_matrix`
+    of the draws.  Over GF(2), factor r of draw t is E_r = (1 + |R_r|) +
+    <R_r, pattern>, the parity of the pattern's bits in R_r, and the draw's
+    vote is 1 + E_1*E_2.
+    """
+    rounds, width = coins.shape[1:]
+    const = 1 ^ (np.bitwise_count(coins).sum(axis=2) & 1).astype(np.uint8)
+    wins = np.empty(len(patterns), dtype=bool)
+    # A pattern's bytes per draw: each factor's AND and its parity bytes.
+    step = max(1, DISTANCE_BUDGET_BYTES // (2 * (width + 3) * rounds))
+    for p0 in range(0, len(patterns), step):
+        chunk = patterns[p0 : p0 + step, None, :]
+        e1, e2 = (
+            const[r] ^ np.bitwise_count(np.bitwise_xor.reduce(chunk & coins[r], axis=2)) & 1
+            for r in range(2)
+        )
+        wins[p0 : p0 + step] = 2 * (1 ^ (e1 & e2)).sum(axis=1) > rounds
+    return wins
+
+
+def _pattern_table(coins: np.ndarray, n_blocks: int) -> np.ndarray | None:
+    """The majority of every pattern of up to 16 blocks, indexed by the
+    pattern read as a little-endian integer; None past 16 blocks."""
+    if n_blocks > 16:
         return None
-    # Verify the flagged group pairs as (F, s, W) stacks; a short last group
-    # repeats its final member, which adds no new (dist, red, blue) cell.
-    # A flagged pair holds two gathered (s, W) stacks and s*s distances.
+    width = coins.shape[2]
+    every = np.arange(1 << n_blocks, dtype=f"<u{width}").view(np.uint8)
+    return _majority(every.reshape(-1, width), coins)
+
+
+def _block_pattern(
+    blocks: np.ndarray, sides: tuple[np.ndarray, np.ndarray], budget: int
+) -> np.ndarray:
+    """(na, nb, width) uint8: each cell's block values, block b at bit b % 8
+    of byte b // 8, from one all-pairs evaluation per block."""
+    na, nb = sides[0].shape[0], sides[1].shape[0]
+    pattern = np.zeros((na, nb, (len(blocks) + 7) // 8), dtype=np.uint8)
+    for bit, block in enumerate(blocks):
+        pattern[..., bit // 8] |= eval_sides(block, sides, budget) << (bit % 8)
+    return pattern
+
+
+def _pattern_flags(
+    pattern: np.ndarray, coins: np.ndarray, table: np.ndarray | None
+) -> np.ndarray:
+    """(na, nb) bool: the majority vote of each cell of a block pattern.
+
+    With a :func:`_pattern_table` the pattern is its index; without one,
+    the majority is taken over the distinct patterns present.
+    """
+    width = pattern.shape[2]
+    if table is not None:
+        return table[pattern.view(f"<u{width}")[..., 0]]
+    uniq, inverse = np.unique(pattern.reshape(-1, width), axis=0, return_inverse=True)
+    return _majority(uniq, coins)[inverse].reshape(pattern.shape[:2])
+
+
+def _best_flagged(
+    red_packed: np.ndarray,
+    blue_packed: np.ndarray,
+    s: int,
+    k: int,
+    pairs: np.ndarray,
+    best: tuple[int, int, int] | None,
+) -> tuple[int, int, int] | None:
+    """The lexicographically least of ``best`` and the verified (dist, red,
+    blue) within k among the members of the flagged (red group, blue group)
+    pairs; None if there is neither.
+
+    The pairs are verified as (F, s, W) stacks; a short last group repeats
+    its final member, which adds no new (dist, red, blue) cell.  A flagged
+    pair holds two gathered (s, W) stacks with their member indices and
+    s*s int64 distances; when every distance is within k, each of those
+    also carries three nonzero indices, three gathered values and a
+    lexsort index.
+    """
+    nr, nb = red_packed.shape[0], blue_packed.shape[0]
     member = np.arange(s)
-    step = max(1, DISTANCE_BUDGET_BYTES // (8 * s * (s + 2 * red_packed.shape[1])))
-    best = None
+    pair_bytes = 16 * s * (red_packed.shape[1] + 1) + 65 * s * s
+    step = max(1, DISTANCE_BUDGET_BYTES // pair_bytes)
     for f0 in range(0, len(pairs), step):
         gi, gj = pairs[f0 : f0 + step].T
         ridx = np.minimum(gi[:, None] * s + member, nr - 1)
@@ -305,6 +357,53 @@ def _poly_close_pair(
         cand = (int(d[w]), int(r[w]), int(b[w]))
         if best is None or cand < best:
             best = cand
+    return best
+
+
+def _poly_close_pair(
+    red: Sequence[BitVector],
+    blue: Sequence[BitVector],
+    dim: int,
+    k: int,
+    s: int,
+    rounds: int,
+    cfg: ClosestPairConfig,
+    rng: np.random.Generator,
+    stats: dict | None = None,
+) -> tuple[int, int, int] | None:
+    """Grouped majority-vote pipeline; returns a verified best pair or None."""
+    spec = GroupPredicateSpec(s, dim, k)
+    red_packed = pack_vectors(red, dim)
+    blue_packed = pack_vectors(blue, dim)
+    draws = [sample_hamming_poly(spec, rng)]
+    try:
+        # The plan decides whether a spec's inner circuit is exact, so the
+        # first draw's blocks are every draw's, or every draw is refused.
+        blocks = block_masks(draws[0], budget=cfg.monomial_budget)
+    except ResourceBudgetError:
+        # projection admitted this size; blocks it cannot evaluate fall back
+        if stats is not None:
+            stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
+        return _brute_close_pair(red_packed, blue_packed, k)
+    draws += [sample_hamming_poly(spec, rng) for _ in range(rounds - 1)]
+    coins = _coin_matrix(draws, s)
+    table = _pattern_table(coins, s * s)
+
+    a_bits = _group_point_bits(red_packed, dim, s)
+    b_bits = _group_point_bits(blue_packed, dim, s)
+    sides = pack_sides(s * dim, a_bits, b_bits, blocks.shape[2])
+    n_blue = b_bits.shape[0]
+    # A tile cell's bytes: a block's uint8 value and its product's float32
+    # and int32 temporaries, the pattern with its lookup or unique
+    # temporaries, and a flag with its argwhere indices.
+    rows = max(1, DISTANCE_BUDGET_BYTES // ((56 + 3 * coins.shape[2]) * n_blue))
+    best = None
+    for g0 in range(0, a_bits.shape[0], rows):
+        tile_sides = (sides[0][g0 : g0 + rows], sides[1])
+        pattern = _block_pattern(blocks, tile_sides, cfg.monomial_budget)
+        pairs = np.argwhere(_pattern_flags(pattern, coins, table))
+        pairs[:, 0] += g0
+        best = _best_flagged(red_packed, blue_packed, s, k, pairs, best)
     if best is None:
         return None
     return best[1], best[2], best[0]
@@ -439,6 +538,7 @@ def batch_nn(
         # nearest vector is at distance dim, which no level below dim
         # matches, is left to the unmatched scan, with the same answer.
         entries = batch_nn_bruteforce(db, queries).entries
+        meta["decisions"] = 0
         meta["unmatched_scans"] = sum(d == max_dist for _, _, d in entries)
         return NNResult(entries, meta)
 
@@ -446,6 +546,7 @@ def batch_nn(
         GroupPredicateSpec(s_inner, dim, 0)
     )
     meta["fallback_calls"] = 0
+    meta["decisions"] = 0  # calls of the close-pair oracle
     table = [max_dist] * nq
     witness = [-1] * nq
     db_groups = [
@@ -463,6 +564,7 @@ def batch_nn(
                     act = [j for j in qgj if alive[j]]
                     if not act:
                         break
+                    meta["decisions"] += 1
                     res = _poly_close_pair(
                         group_vecs,
                         [queries[j] for j in act],

@@ -317,10 +317,12 @@ class CircuitPlan:
             start, stop = bounds[level], bounds[level + 1]
             split = start + int(np.count_nonzero(self.kids[start:stop, 0] < 0))
             w = weights[:, level]
-            lo, hi, t = (a[start:stop, None] for a in (self.lo, self.hi, self.t))
+            lo, hi, t = (a[start:stop] for a in (self.lo, self.hi, self.t))
             # the window value: right inside the window, and everywhere when
-            # the window is constant (an exact node's window holds every weight)
-            vals[start:stop] = w >= np.where(t <= lo, 0, np.where(t > hi, self.sizes[level] + 1, t))
+            # the window is constant (an exact node's window holds every
+            # weight); compared (input, node) so numpy loops along the nodes
+            cut = np.where(t <= lo, 0, np.where(t > hi, self.sizes[level] + 1, t))
+            vals[start:stop].T[...] = w[:, None] >= cut
             if split == stop:
                 continue
             lo, hi, t = (a[split:stop] for a in (self.lo, self.hi, self.t))

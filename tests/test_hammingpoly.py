@@ -16,13 +16,13 @@ from polyham.hammingpoly import (
     expand_hamming_masks,
     expand_hamming_poly,
     factor_masks,
-    factor_values,
     group_pair_truth,
     inner_error_budget,
     meets_dimension_advisory,
     projected_expansion_size,
     sample_hamming_poly,
 )
+from polyham.neighbors import _block_pattern, _coin_matrix, _pattern_flags, _pattern_table
 from polyham.paireval import eval_all_pairs_masks, eval_sides, pack_sides
 from polyham.vectors import BitVector, concat
 
@@ -318,14 +318,28 @@ def test_factor_vote_equals_expanded_vote(s, d, k, n_random):
         np.testing.assert_array_equal(1 ^ (e1 & e2), want)
 
 
+def table_votes(blocks, sides, draws, s):
+    """The pipeline's majority vote of ``draws`` on every cell of ``sides``."""
+    coins = _coin_matrix(draws, s)
+    pattern = _block_pattern(blocks, sides, 10**6)
+    return _pattern_flags(pattern, coins, _pattern_table(coins, s * s)).astype(np.uint8)
+
+
 @pytest.mark.parametrize(
     "s, d, k, n_random",
-    [(2, 4, 0, 25), (2, 4, 1, 25), (2, 4, 2, 25), (17, 2, 1, 2)],  # (17, 2): W = 2
+    [
+        (2, 4, 0, 25),
+        (2, 4, 1, 25),
+        (2, 4, 2, 25),
+        (17, 2, 1, 2),  # W = 2, and past 16 blocks: distinct patterns only
+        (1, 6, 2, 25),
+        (3, 4, 1, 10),
+    ],
 )
 def test_block_votes_equal_factor_votes(s, d, k, n_random):
-    # evaluation is linear over GF(2): factor r is (1 + |R_r|) plus the XOR
-    # of its blocks' all-pairs matrices, so one evaluation per block serves
-    # every draw
+    # a draw's vote on a cell depends only on the cell's s^2 block bits, so
+    # one table per decision, read at each cell's pattern, gives every
+    # draw's vote 1 ^ (E1 & E2) and their majority
     spec = GroupPredicateSpec(s, d, k)
     rng = np.random.default_rng(24)
     a_bits = rng.integers(0, 2, size=(37, s * d)).astype(np.uint8)
@@ -334,13 +348,17 @@ def test_block_votes_equal_factor_votes(s, d, k, n_random):
     draws = draws_with_edge_subsets(spec, rng, n_random)
     blocks = block_masks(draws[0])
     assert blocks.shape[0] == s * s
-    values = np.stack([eval_sides(block, sides) for block in blocks])
+    votes = []
     for hp in draws:
         assert block_masks(hp) is blocks  # exact inner circuit: shared blocks
-        for subset, factor in zip((hp.r1, hp.r2), factor_masks(hp)):
-            got = factor_values(values, subset, s)
-            assert got.dtype == np.uint8
-            np.testing.assert_array_equal(got, eval_sides(factor, sides))
+        e1, e2 = (eval_sides(factor, sides) for factor in factor_masks(hp))
+        want = 1 ^ (e1 & e2)
+        np.testing.assert_array_equal(table_votes(blocks, sides, [hp], s), want)
+        votes.append(want)
+    # two draws tie on many cells, and a tie is not a majority
+    for m in (2, 3, len(draws)):
+        majority = (2 * np.sum(votes[:m], axis=0) > m).astype(np.uint8)
+        np.testing.assert_array_equal(table_votes(blocks, sides, draws[:m], s), majority)
 
 
 def test_factor_budget_counts_rows():
@@ -379,7 +397,7 @@ def test_group_matrix_equals_distance_formula(s, d, k):
     close = member_distances(red, blue, s) <= k
     words = (spec.nvars + 63) // 64
     sides = pack_sides(s * d, red.reshape(groups, -1), blue.reshape(groups, -1), words)
-    values = np.stack([eval_sides(block, sides) for block in _exact_inner_blocks(spec)])
+    blocks = _exact_inner_blocks(spec)
     for _ in range(30):
         hp = sample_hamming_poly(spec, rng)
         assert hp.inner.kind == "exact_base"
@@ -391,9 +409,70 @@ def test_group_matrix_equals_distance_formula(s, d, k):
         f1, f2 = factor_masks(hp)
         got = 1 ^ (eval_sides(f1, sides) & eval_sides(f2, sides))
         np.testing.assert_array_equal(got, want)
-        # the pipeline's vote: XORs of the block matrices evaluated once
-        e1, e2 = (factor_values(values, subset, s) for subset in (hp.r1, hp.r2))
-        np.testing.assert_array_equal(1 ^ (e1 & e2), want)
+        # the pipeline's vote: the draw's table read at each cell's pattern
+        np.testing.assert_array_equal(table_votes(blocks, sides, [hp], s), want)
+
+
+def test_block_masks_refuses_a_sampled_inner_circuit():
+    # from d = 2,331 at s = 1 the inner threshold is sampled: its blocks
+    # would differ per draw, so the pipeline refuses them and falls back
+    spec = GroupPredicateSpec(1, 2400, 1)
+    hp = sample_hamming_poly(spec, np.random.default_rng(3))
+    assert hp.inner.kind == "recursive"
+    with pytest.raises(ResourceBudgetError, match="sampled"):
+        block_masks(hp, budget=10**9)
+
+
+def test_block_masks_budget_counts_rows():
+    spec = GroupPredicateSpec(2, 4, 1)
+    hp = sample_hamming_poly(spec, np.random.default_rng(4))
+    rows = _exact_inner_blocks(spec).shape[1]
+    assert block_masks(hp, budget=rows) is _exact_inner_blocks(spec)
+    with pytest.raises(ResourceBudgetError) as exc:
+        block_masks(hp, budget=rows - 1)
+    assert exc.value.projected == rows
+
+
+# First draws at rng seed 7, recorded before the per-spec draw parts were
+# memoised: the rng stream, so every seed's answers, must not move.
+PINNED_DRAWS = {
+    (2, 4, 1): (
+        [
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 0)]),
+            ([(1, 1)], [(0, 0), (1, 1)]),
+            ([(0, 1)], [(0, 0)]),
+            ([(0, 0), (1, 0)], [(0, 1), (1, 0), (1, 1)]),
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]),
+        ],
+        500611194,
+    ),
+    (3, 5, 2): (
+        [
+            (
+                [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)],
+                [(0, 2), (1, 0), (2, 0), (2, 2)],
+            ),
+            (
+                [(0, 2), (2, 0), (2, 2)],
+                [(0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+            ),
+            ([(0, 0), (0, 1), (1, 0), (2, 0), (2, 2)], [(0, 0), (2, 0), (2, 1)]),
+        ],
+        868062562,
+    ),
+    # a sampled inner circuit also draws its coordinate maps
+    (1, 2400, 1): ([([(0, 0)], []), ([], [])], 946562932),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DRAWS))
+def test_draws_pinned_at_a_fixed_seed(key):
+    subsets, next_value = PINNED_DRAWS[key]
+    spec = GroupPredicateSpec(*key)
+    rng = np.random.default_rng(7)
+    draws = [sample_hamming_poly(spec, rng) for _ in subsets]
+    assert [(sorted(hp.r1), sorted(hp.r2)) for hp in draws] == subsets
+    assert rng.integers(0, 1 << 30) == next_value
 
 
 def test_exact_inner_blocks_shared_across_draws():

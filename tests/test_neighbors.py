@@ -461,9 +461,9 @@ def spy(monkeypatch, module, name):
 
 
 def test_pipeline_never_expands_the_product(monkeypatch):
-    # the pipeline votes on the factors' values, XORed from the block
-    # matrices; the expanded product is only a test and debugging view, so
-    # making it raise changes no answer
+    # the pipeline votes from a table over the block matrices' patterns;
+    # the expanded product is only a test and debugging view, so making it
+    # raise changes no answer
     import polyham.hammingpoly as hammingpoly
     import polyham.neighbors as neighbors
 
@@ -529,3 +529,89 @@ def test_budget_fallback_still_fires(monkeypatch):
     res = batch_nn(db, queries, cfg, np.random.default_rng(2))
     assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] > 0
     assert res.entries == batch_nn_bruteforce(db, queries).entries
+
+
+def test_batch_nn_reports_decisions(monkeypatch):
+    import polyham.neighbors as neighbors
+
+    decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
+    ds = random_dataset(np.random.default_rng(24), 12, 4)
+    res = batch_nn(list(ds.red), list(ds.blue), ENGAGED_S2_CFG, np.random.default_rng(3))
+    assert res.meta["mode"] == "poly"
+    assert res.meta["decisions"] == len(decisions) > 0
+    res = batch_nn(list(ds.red), list(ds.blue), BRUTE_CFG)
+    assert res.meta["decisions"] == 0
+
+
+def test_sampled_inner_draw_falls_back_and_counts(monkeypatch):
+    # at d = 2,400 the inner threshold is sampled: block_masks refuses the
+    # first draw, and the decision answers by brute force after that draw
+    import polyham.neighbors as neighbors
+    from polyham.neighbors import _poly_close_pair
+
+    d = 2400
+    ds = random_dataset(np.random.default_rng(25), 6, d)
+    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    stats = {}
+    k = closest_pair_bruteforce(ds)[2]
+    got = _poly_close_pair(
+        ds.red, ds.blue, d, k, 1, 9, ENGAGED_CFG, np.random.default_rng(4), stats
+    )
+    assert got == closest_pair_bruteforce(ds)
+    assert stats == {"fallback_calls": 1} and len(draws) == 1 and brute
+
+
+def test_red_tiles_give_the_same_pair(monkeypatch):
+    # a budget of a few hundred bytes splits a decision into one red group
+    # per tile; the votes, flags and verified pair are those of one tile.
+    # Reds are all ones and blues have weight <= 1, except one late red
+    # planted at distance 1 from a blue, so a tile must keep its offset.
+    import polyham.neighbors as neighbors
+    from polyham.neighbors import _poly_close_pair
+
+    rng = np.random.default_rng(26)
+    for s, d in ((1, 6), (2, 4), (17, 2)):
+        ones = BitVector(d, (1 << d) - 1)
+        blue = tuple(BitVector(d, int(1 << rng.integers(d)) if rng.integers(2) else 0)
+                     for _ in range(33))
+        red = [ones] * 40
+        red[37] = BitVector(d, blue[20].bits ^ (1 << int(rng.integers(d))))
+        cfg = ClosestPairConfig(s=s, rounds=9, monomial_budget=10**7)
+        for k in range(2):
+            args = (red, blue, d, k, s, 9, cfg)
+            one_tile = _poly_close_pair(*args, np.random.default_rng(k))
+            with monkeypatch.context() as m:
+                m.setattr(neighbors, "DISTANCE_BUDGET_BYTES", 200)
+                products = spy(m, neighbors, "eval_sides")
+                tiled = _poly_close_pair(*args, np.random.default_rng(k))
+            assert len(products) == s * s * -(-len(red) // s)
+            assert tiled == one_tile
+            if k == 1:
+                assert one_tile[0] == 37 and one_tile[2] <= 1
+
+
+@pytest.mark.parametrize("s, n, k", [(1, 2048, 0), (2, 1024, 3)])
+def test_decision_memory_is_bounded_by_the_budget(s, n, k):
+    # the whole-matrix vote held about 13 bytes per group-pair cell: 6.4 to
+    # 6.7 budgets here; tiles keep a decision within two budgets, also at
+    # d = 4, k = 3, where nearly every group pair is flagged and verified
+    import tracemalloc
+
+    from polyham.neighbors import _poly_close_pair
+    from polyham.vectors import DISTANCE_BUDGET_BYTES
+
+    d = 4
+    ds = random_dataset(np.random.default_rng(27), n, d)
+    cfg = ClosestPairConfig(s=s, rounds=9)
+    args = (ds.red, ds.blue, d, k, s, 9, cfg)
+    _poly_close_pair(ds.red[:8], ds.blue[:8], d, k, s, 9, cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = _poly_close_pair(*args, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got is not None and got[2] <= k
+    assert peak < 2 * DISTANCE_BUDGET_BYTES

@@ -450,6 +450,42 @@ def test_plan_evaluation_matches_python_reference(n, values_of):
     assert comb.plan.evaluate(profiles) == want
 
 
+# sha256 prefixes of repr(plan.evaluate(profiles)), recorded before the
+# window values were compared (input, node), and the rows needing the
+# exact off-window fallback
+PINNED_PLAN_OUTPUTS = {
+    (4000, "parity", Fraction(1, 10)): ("6456cb0552a1567741d5041819af9c48", 0),
+    (4000, "parity", Fraction(9, 10)): ("a6194a395da6e0790e5f98301d563d5d", 5),
+    (10_000, "parity", Fraction(1, 10)): ("5ebd4c5bbfb7d1038e973654ace17a8b", 0),
+    (10_000, "parity", Fraction(9, 10)): ("1409acb2ecf49d3d3dad16b8d55b6b06", 3),
+    (40_000, "exact-k", Fraction(1, 10)): ("4c7f1a7c6543dfd770f9f472628b80a5", 0),
+    (40_000, "exact-k", Fraction(9, 10)): ("5f03bc93a58fe1c967c09b2fc0d1918e", 0),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_PLAN_OUTPUTS), ids=str)
+def test_plan_outputs_pinned(key):
+    import hashlib
+
+    n, kind, eps = key
+    values = [w % 2 if kind == "parity" else int(w == n // 2) for w in range(n + 1)]
+    rng = np.random.default_rng(31)
+    comb = sample_symmetric(SymmetricFunctionSpec(n, tuple(values)), eps, rng)
+    rows = [BitVector(n, (1 << w) - 1) for w in (0, 1, n // 2 - 1, n // 2, n // 2 + 1, n)]
+    bits = bit_matrix(rows + [BitVector.random(rng, n) for _ in range(40)])
+    if comb.skeleton.maps and n <= 4000:
+        # rows that set a growing share of the first sampled coordinates
+        mapped = np.unique(comb.skeleton.maps[0])
+        far = np.zeros((3, n), dtype=np.uint8)
+        for i in range(3):
+            far[i, mapped[: (i + 1) * len(mapped) // 4]] = 1
+        bits = np.vstack([bits, far])
+    profiles = comb.skeleton.weight_profiles(bits)
+    digest = hashlib.sha256(repr(comb.plan.evaluate(profiles)).encode()).hexdigest()
+    _, redo = comb.plan._node_values(profiles, exact=False)
+    assert (digest[:32], int(redo.sum())) == PINNED_PLAN_OUTPUTS[key]
+
+
 def test_off_window_flags_at_window_edges():
     # one recursive threshold, so only its root can flag a row: weights
     # just outside the root's window need the exact fallback, weights on
