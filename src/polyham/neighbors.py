@@ -16,6 +16,10 @@ completeness is the with-high-probability side.
 When the projected polynomial size exceeds the monomial budget (the common
 case beyond a dozen dimensions) the group size is halved until it fits, and
 below that the same contracts are served by exact bit-packed brute force.
+The exact scans reduce the distance tiles of ``vectors.distance_tiles`` to
+a running nearest row per column as they come, and flagged pairs are
+verified through ``vectors.packed_distance_matrix``, the consumer that
+keeps every distance.
 Distance search uses a shrinking binary search over the decision oracle;
 the batch solver follows the descending-distance retirement scheme, one
 close-pair oracle call at a time per group pair.
@@ -45,6 +49,7 @@ from .vectors import (
     DISTANCE_BUDGET_BYTES,
     BitVector,
     Dataset,
+    distance_tiles,
     hamming_distance,
     pack_vectors,
     packed_distance_matrix,
@@ -113,21 +118,25 @@ class NNResult:
 def _nearest_rows(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest packed row for every packed column: (row index, distance).
 
-    Ties resolve to the smallest row index: argmin keeps the first minimum
-    in a block and a later block must be strictly closer to replace it.
+    The consumer of ``vectors.distance_tiles`` that keeps a running argmin
+    per column, so no distance array outlives its tile.  Ties resolve to
+    the smallest row index: argmin keeps the first minimum in a tile, the
+    row tiles reach each column tile in increasing order, and only a
+    strictly smaller distance replaces the best.
     """
     m = cols.shape[0]
     best_i = np.zeros(m, dtype=np.int64)
     best_d = np.full(m, np.iinfo(np.int64).max)
-    step = max(1, DISTANCE_BUDGET_BYTES // (8 * max(m, 1)))  # (m, step) int64 fits
-    for i0 in range(0, rows.shape[0], step):
-        # (column, row) orientation: argmin along the contiguous axis
-        dmat = packed_distance_matrix(cols, rows[i0 : i0 + step])
-        i = dmat.argmin(axis=1)
-        d = dmat[np.arange(m), i]
-        closer = d < best_d
-        best_i[closer] = i0 + i[closer]
-        best_d[closer] = d[closer]
+    # (column, row) orientation: argmin along the contiguous axis
+    for _, c0, r0, tile in distance_tiles(cols, rows)[1]:
+        tile = tile[0]
+        i = tile.argmin(axis=1)
+        d = np.take_along_axis(tile, i[:, None], axis=1)[:, 0]
+        cs = slice(c0, c0 + len(i))
+        closer = d < best_d[cs]
+        np.copyto(best_i[cs], i + r0, where=closer)
+        # a tile holds exact integers in the dtype that computed them
+        np.copyto(best_d[cs], d, where=closer, casting="unsafe")
     return best_i, best_d
 
 

@@ -6,12 +6,19 @@ Bits at positions >= ``dim`` are forced to zero at construction, so storage
 equality is vector equality and distance kernels never need to mask.
 
 Vectors are immutable after construction and safe to share across workers.
+
+Every exact Hamming distance between packed row sets comes from one tile
+producer, :func:`distance_tiles`, which yields exact distance tiles within
+``DISTANCE_BUDGET_BYTES``.  :func:`packed_distance_matrix` is the consumer
+that writes them into one int64 array; ``neighbors`` reduces them to a
+nearest row per column without one.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -20,6 +27,9 @@ import numpy as np
 from .errors import DimensionMismatchError, EmptyInputError, ParseError
 
 WORD_BITS = 64
+
+# int(s, 2) alone also takes "0b101", "1_0", "+1" and surrounding spaces
+_BITS01 = re.compile("[01]+")
 
 __all__ = [
     "BitVector",
@@ -73,7 +83,7 @@ class BitVector:
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
         """Parse a 0/1 string; the leftmost character is coordinate 0."""
-        if not s or set(s) - {"0", "1"}:
+        if not _BITS01.fullmatch(s):
             raise ValueError(f"not a 0/1 string: {s!r}")
         return cls(len(s), int(s[::-1], 2))
 
@@ -346,8 +356,8 @@ def pack_vectors(vectors: Sequence[BitVector], dim: int | None = None) -> np.nda
     return np.frombuffer(data, dtype=np.uint64).reshape(len(vectors), n_words)
 
 
-# Byte budget for the temporaries of one packed_distance_matrix tile.  Callers
-# that reduce distance matrices block their own rows by the same budget.
+# Byte budget for the temporaries of one distance tile.  The consumers of the
+# tiles, and callers that block their own rows, use the same budget.
 DISTANCE_BUDGET_BYTES = 1 << 23
 
 # float32 holds every integer up to 2**24 exactly, so a 0/1 dot product over
@@ -355,18 +365,30 @@ DISTANCE_BUDGET_BYTES = 1 << 23
 _FLOAT32_EXACT_BITS = 1 << 24
 
 
-def packed_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances between packed uint64 row sets.
+def distance_tiles(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[tuple[int, ...], Iterator[tuple[int, int, int, np.ndarray]]]:
+    """Exact all-pairs Hamming distances between packed uint64 row sets, a
+    tile at a time: the one exact distance kernel.
 
     ``a`` is ``(..., n, W)`` and ``b`` is ``(..., m, W)``; the leading
-    dimensions broadcast as in ``np.matmul`` and the result is the int64
-    matrix ``(..., n, m)``.  Rows of one word, or of more than 2**24 bits,
-    use XOR plus popcount.  Rows of 2 words up to 2**24 bits unpack to
-    float32 and compute |a| + |b| - 2 a.b with BLAS; every partial sum is an
-    integer no larger than 2**24, so the result is exact under any summation
-    order or thread count.  The work runs in tiles over the batch, both row
-    sets and the words, each tile's temporaries within
-    ``DISTANCE_BUDGET_BYTES``.
+    dimensions broadcast as in ``np.matmul``.  Returns the shape of all the
+    distances, ``batch + (n, m)``, and an iterator of ``(l, i, j, tile)``:
+    ``tile`` is ``(tl, tn, tm)`` and holds the distances of flat batch
+    entries ``l:l+tl``, rows ``i:i+tn`` of ``a`` and rows ``j:j+tm`` of
+    ``b``.  Tiles come in increasing order of ``l``, then ``j``, then ``i``,
+    so the row tiles of ``b`` reach each row tile of ``a`` in increasing
+    order.  The tiles are planned once per call, so that a tile's
+    temporaries and the tile before it, which a consumer may still hold,
+    fit ``DISTANCE_BUDGET_BYTES``.
+
+    A tile keeps the dtype that computed it, and every value is an exact
+    integer.  Rows of one word, or of more than 2**24 bits, use XOR plus
+    popcount into unsigned integers just wide enough for 64*W.  Rows of 2
+    words up to 2**24 bits unpack to float32 and compute |a| + |b| - 2 a.b
+    with BLAS, the weights being popcounts of the packed words; every
+    partial sum is an integer no larger than 2**24, so the result is exact
+    under any summation order or thread count.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -375,46 +397,90 @@ def packed_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"need (..., n, W) and (..., m, W) word arrays, got {a.shape} and {b.shape}"
         )
     (n, words), m = a.shape[-2:], b.shape[-2]
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.zeros(batch + (n, m), dtype=np.int64)
-    if out.size == 0 or words == 0:
-        return out
+    a_of = b_of = None  # equal batch shapes index both operands by slices
+    batch = a.shape[:-2]
+    if batch != b.shape[:-2]:
+        # flat batch index -> index into each operand's own flattened stack
+        batch = np.broadcast_shapes(batch, b.shape[:-2])
+        a_of, b_of = (
+            np.broadcast_to(np.arange(math.prod(x.shape[:-2])).reshape(x.shape[:-2]), batch)
+            .ravel()
+            for x in (a, b)
+        )
+    shape = batch + (n, m)
+    if not math.prod(shape):
+        return shape, iter(())
+    if not words:  # rows without coordinates: one zero word, distance 0
+        a = np.zeros(a.shape[:-1] + (1,), dtype=np.uint64)
+        b = np.zeros(b.shape[:-1] + (1,), dtype=np.uint64)
+    a3 = a.reshape(math.prod(a.shape[:-2]), n, a.shape[-1])
+    b3 = b.reshape(math.prod(b.shape[:-2]), m, b.shape[-1])
+    return shape, _tiles(a3, b3, a_of, b_of, math.prod(batch))
+
+
+def _tiles(
+    a3: np.ndarray, b3: np.ndarray, a_of: np.ndarray | None, b_of: np.ndarray | None, size: int
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """The tiles of :func:`distance_tiles` over (size, n, W) and (size, m, W)
+    stacks, or over the operands' own stacks through the index maps."""
+    (n, words), m = a3.shape[1:], b3.shape[1]
     use_blas = words >= 2 and words * WORD_BITS <= _FLOAT32_EXACT_BITS
-    # flat batch index -> index into each operand's own flattened stack
-    a_of = np.broadcast_to(np.arange(math.prod(a.shape[:-2])).reshape(a.shape[:-2]), batch)
-    b_of = np.broadcast_to(np.arange(math.prod(b.shape[:-2])).reshape(b.shape[:-2]), batch)
-    a_of, b_of = a_of.ravel(), b_of.ravel()
-    a3, b3 = a.reshape(-1, n, words), b.reshape(-1, m, words)
-    flat = out.reshape(-1, n, m)
-    tl, tn, tm, tw = _distance_tile(len(flat), n, m, words, use_blas)
-    for l0 in range(0, len(flat), tl):
+    sums = None if words == 1 else np.min_scalar_type(WORD_BITS * words)
+    tl, tn, tm, tw = _distance_tile(size, n, m, words, use_blas)
+    for l0 in range(0, size, tl):
         ls = slice(l0, l0 + tl)
-        for w0 in range(0, words, tw):
-            ws = slice(w0, w0 + tw)
-            for j0 in range(0, m, tm):
-                bt = b3[b_of[ls], j0 : j0 + tm, ws]
-                if use_blas:
-                    bt = _unpack_f32(bt)
-                    bt_weight = bt.sum(axis=-1)[:, None, :]
-                for i0 in range(0, n, tn):
-                    at = a3[a_of[ls], i0 : i0 + tn, ws]
-                    if use_blas:
-                        at = _unpack_f32(at)
-                        part = np.matmul(at, bt.transpose(0, 2, 1))
-                        part *= -2.0
-                        part += at.sum(axis=-1)[:, :, None]
-                        part += bt_weight
-                    else:
-                        part = np.bitwise_count(at[:, :, None, :] ^ bt[:, None, :, :])
-                        if tw == 1:
-                            part = part[..., 0]
-                        else:
-                            part = part.sum(axis=-1, dtype=np.int64)
-                    dst = flat[ls, i0 : i0 + tn, j0 : j0 + tm]
+        la = ls if a_of is None else a_of[ls]
+        lb = ls if b_of is None else b_of[ls]
+        for j0 in range(0, m, tm):
+            b_whole = _side(b3[lb, j0 : j0 + tm], use_blas) if tw == words else None
+            for i0 in range(0, n, tn):
+                for w0 in range(0, words, tw):
+                    ws = slice(w0, w0 + tw)
+                    bt = b_whole or _side(b3[lb, j0 : j0 + tm, ws], use_blas)
+                    part = _distances(_side(a3[la, i0 : i0 + tn, ws], use_blas), bt, sums)
                     if w0:  # a later word chunk adds its share of each distance
-                        np.add(dst, part, out=dst, casting="unsafe")
+                        tile += part
                     else:
-                        dst[...] = part
+                        tile = part
+                yield l0, i0, j0, tile
+
+
+def _side(words: np.ndarray, use_blas: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """A tile's rows as the kernel multiplies them: (tl, rows, W) words and
+    no weights for XOR; for BLAS their float32 bits and popcounts."""
+    if not use_blas:
+        return words, None
+    return _unpack_f32(words), np.bitwise_count(words).sum(axis=-1, dtype=np.float32)
+
+
+def _distances(a_side: tuple, b_side: tuple, sums: np.dtype | None) -> np.ndarray:
+    """(tl, tn, tm) distances over the words of two :func:`_side` tiles."""
+    (at, a_weight), (bt, b_weight) = a_side, b_side
+    if a_weight is None:
+        counts = np.bitwise_count(at[:, :, None, :] ^ bt[:, None, :, :])
+        return counts[..., 0] if sums is None else counts.sum(axis=-1, dtype=sums)
+    part = np.matmul(at, bt.transpose(0, 2, 1))
+    part *= -2.0
+    part += a_weight[:, :, None]
+    part += b_weight[:, None, :]
+    return part
+
+
+def packed_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs Hamming distances between packed uint64 row sets.
+
+    ``a`` is ``(..., n, W)`` and ``b`` is ``(..., m, W)``; the leading
+    dimensions broadcast as in ``np.matmul`` and the result is the int64
+    array ``(..., n, m)``.  The consumer of :func:`distance_tiles` that
+    keeps every distance: it writes each tile into the result, so the
+    temporaries beside the result fit ``DISTANCE_BUDGET_BYTES``.
+    """
+    shape, tiles = distance_tiles(a, b)
+    out = np.empty(shape, dtype=np.int64)
+    flat = out.reshape(math.prod(shape[:-2]), *shape[-2:])
+    for l0, i0, j0, tile in tiles:
+        tl, tn, tm = tile.shape
+        flat[l0 : l0 + tl, i0 : i0 + tn, j0 : j0 + tm] = tile
     return out
 
 
@@ -430,17 +496,19 @@ def _distance_tile(
     """Tile extents (batch, a rows, b rows, words) whose temporaries fit the budget.
 
     XOR: a row costs its gathered copy (8 bytes a word); a cell costs the
-    XOR words and their popcounts (9 bytes a word) plus an int64 sum.
-    BLAS: a row costs its gathered copy, unpacked uint8 and float32 bits
-    (8 + 64 + 256 bytes a word) plus a float32 weight; a cell costs its
-    float32 product.  The largest extent is halved until the tile fits, or
-    every extent is 1.
+    XOR words and their popcounts (9 bytes a word).  BLAS: a row costs its
+    gathered copy, unpacked uint8 and float32 bits (8 + 64 + 256 bytes a
+    word) plus a float32 weight.  A cell also costs its distance (at most
+    4 bytes), the same for the tile before it that a consumer may still
+    hold, and 4 more when the words are split and summed.  The largest
+    extent is halved until the tile fits, or every extent is 1.
     """
-    row_w, row, cell_w, cell = (328, 4, 0, 4) if use_blas else (8, 0, 9, 8)
+    row_w, row, cell_w = (328, 4, 0) if use_blas else (8, 0, 9)
     tile = [batch, n, m, words]
     while True:
         tl, tn, tm, tw = tile
-        size = tl * ((tn + tm) * (tw * row_w + row) + tn * tm * (tw * cell_w + cell))
+        cell = tw * cell_w + 4 * (2 + (tw < words))
+        size = tl * ((tn + tm) * (tw * row_w + row) + tn * tm * cell)
         if size <= DISTANCE_BUDGET_BYTES or tile == [1, 1, 1, 1]:
             return tl, tn, tm, tw
         big = tile.index(max(tile))

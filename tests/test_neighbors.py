@@ -5,6 +5,7 @@ from polyham.errors import EmptyInputError, InvalidParametersError
 from polyham.neighbors import (
     ClosestPairConfig,
     _group_point_bits,
+    _nearest_rows,
     _resolve_group_size,
     batch_nn,
     batch_nn_bruteforce,
@@ -12,7 +13,14 @@ from polyham.neighbors import (
     closest_pair,
     closest_pair_bruteforce,
 )
-from polyham.vectors import BitVector, Dataset, complement, hamming_distance, pack_vectors
+from polyham.vectors import (
+    BitVector,
+    Dataset,
+    complement,
+    distance_tiles,
+    hamming_distance,
+    pack_vectors,
+)
 
 ENGAGED_CFG = ClosestPairConfig(s=1, rounds=9)   # polynomial path live at d <= 6
 ENGAGED_S2_CFG = ClosestPairConfig(s=2, rounds=9)  # heavier; live at d <= 5
@@ -84,9 +92,10 @@ def naive_batch_nn(db, queries):
 @pytest.mark.parametrize("budget", [None, 64])
 def test_bruteforce_ties_resolve_to_smallest_index(budget, monkeypatch):
     # few distinct vectors, many duplicates: every minimum is tied, and with
-    # a 64-byte budget the rows split into blocks that each hold a copy
+    # a 64-byte budget the rows split into tiles that each hold a copy
     if budget is not None:
         monkeypatch.setattr("polyham.neighbors.DISTANCE_BUDGET_BYTES", budget)
+        monkeypatch.setattr("polyham.vectors.DISTANCE_BUDGET_BYTES", budget)
     rng = np.random.default_rng(21)
     for d in (3, 64, 130):
         pool = [BitVector.random(rng, d) for _ in range(3)]
@@ -97,6 +106,60 @@ def test_bruteforce_ties_resolve_to_smallest_index(budget, monkeypatch):
             assert closest_pair_bruteforce(ds) == naive_closest_pair(ds)
             assert batch_nn_bruteforce(red, blue).entries == naive_batch_nn(red, blue)
             assert batch_nn(red, blue, BRUTE_CFG).entries == naive_batch_nn(red, blue)
+
+
+def naive_nearest_rows(rows, cols):
+    """Python-int popcount argmin per packed column, smallest row on ties."""
+    rs = [int.from_bytes(r.tobytes(), "little") for r in rows]
+    best = [
+        min(((r ^ c).bit_count(), i) for i, r in enumerate(rs))
+        for c in (int.from_bytes(c.tobytes(), "little") for c in cols)
+    ]
+    return [i for _, i in best], [d for d, _ in best]
+
+
+@pytest.mark.parametrize("budget", [None, 300])
+@pytest.mark.parametrize("words", [1, 2, 16, 17])
+def test_nearest_rows_matches_oracle(words, budget, monkeypatch):
+    # a few distinct rows repeated in random order tie every minimum; with a
+    # budget of a few hundred bytes the copies of a row fall in different
+    # row tiles, and the words of 17-word rows are split
+    if budget is not None:
+        monkeypatch.setattr("polyham.vectors.DISTANCE_BUDGET_BYTES", budget)
+    rng = np.random.default_rng(words)
+    for d in (64 * words - 1, 64 * words):
+        pool = pack_vectors([BitVector.random(rng, d) for _ in range(4)], d)
+        rows = pool[rng.integers(0, 4, size=23)]
+        cols = np.concatenate([pack_vectors([BitVector.random(rng, d) for _ in range(9)], d), pool])
+        if budget is not None:
+            assert len({j for _, _, j, _ in distance_tiles(cols, rows)[1]}) > 1
+        for r, c in ((rows, cols), (rows[:1], cols), (rows, cols[:0])):
+            got_i, got_d = _nearest_rows(r, c)
+            assert got_i.dtype == got_d.dtype == np.int64
+            assert (got_i.tolist(), got_d.tolist()) == naive_nearest_rows(r, c)
+
+
+@pytest.mark.parametrize("d", [64, 1024])
+def test_nearest_rows_memory_is_bounded_by_the_budget(d):
+    # the scan used to fill an int64 distance block of one full budget per
+    # row chunk and reduce it afterwards: 2.3 (d = 64) and 2.9 budgets here
+    import tracemalloc
+
+    from polyham.vectors import DISTANCE_BUDGET_BYTES
+
+    rng = np.random.default_rng(d)
+    rows = rng.integers(0, 1 << 64, size=(4096, d // 64), dtype=np.uint64)
+    cols = rng.integers(0, 1 << 64, size=(4096, d // 64), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        best_i, best_d = _nearest_rows(rows, cols)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= DISTANCE_BUDGET_BYTES + best_i.nbytes + best_d.nbytes
+    some = rng.choice(4096, size=8, replace=False)
+    assert (best_i[some].tolist(), best_d[some].tolist()) == naive_nearest_rows(rows, cols[some])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from polyham.vectors import (
     Dataset,
     bit_matrix,
     complement,
+    distance_tiles,
     dump_dataset,
     hamming_distance,
     inner_product,
@@ -111,12 +112,21 @@ def test_load_dataset_empty_blue_is_legal():
         ("R\n01a\nB\n", 2),
         ("R\n010\n01\nB\n", 3),
         ("010\nR\nB\n", 1),
+        ("R\n01\n0b1\nB\n", 3),
+        ("R\n01\nB\n1_0\n", 4),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         load_dataset(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("s", ["", "0b101", "1_0", "+1", " 1", "012"])
+def test_from_string_takes_only_zeros_and_ones(s):
+    # int(s, 2) alone accepts several of these
+    with pytest.raises(ValueError, match="^not a 0/1 string: "):
+        BitVector.from_string(s)
 
 
 def test_missing_section_header():
@@ -221,6 +231,10 @@ def test_distance_kernel_branches_agree(d, monkeypatch):
     xor = packed_distance_matrix(a, b)
     assert blas.dtype == xor.dtype == np.int64
     assert np.array_equal(blas, xor)
+    # the tiles keep the dtype that computed them: small unsigned integers
+    assert {t.dtype.kind for *_, t in distance_tiles(a, b)[1]} == {"u"}
+    monkeypatch.undo()
+    assert {t.dtype for *_, t in distance_tiles(a, b)[1]} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("d", [4, 64, 200])
@@ -243,6 +257,7 @@ def test_distance_kernel_empty_and_mismatched_shapes():
     a = random_words(rng, (3,), 70)
     assert packed_distance_matrix(a, a[:0]).shape == (3, 0)
     assert packed_distance_matrix(a[None][:0], a).shape == (0, 3, 3)
+    assert np.array_equal(packed_distance_matrix(a[:, :0], a[:2, :0]), np.zeros((3, 2)))
     with pytest.raises(DimensionMismatchError):
         packed_distance_matrix(a, a[:, :1])
     with pytest.raises(DimensionMismatchError):
