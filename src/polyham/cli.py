@@ -102,7 +102,10 @@ def _config(args, seed: int) -> ClosestPairConfig:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=_int_or_auto, default="auto", help="group size or 'auto'")
+    p.add_argument(
+        "--s", type=_int_or_auto, default="auto",
+        help="group size: 'auto' scans exactly; s runs the pipeline if s^2*(3^d-1) <= --budget",
+    )
     p.add_argument(
         "--rounds", type=_int_or_auto, default="auto", help="amplification rounds or 'auto'"
     )
@@ -360,7 +363,9 @@ def _cmd_bench(args) -> int:
             answers = {}
             timings = {}
             for mode in modes:
+                # "auto" is the exact scan, so the poly rows pin s = 2
                 cfg = ClosestPairConfig(
+                    s=2 if mode == "poly" else "auto",
                     seed=seed,
                     monomial_budget=0 if mode == "brute" else args.budget,
                 )

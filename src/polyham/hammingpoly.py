@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParametersError, ResourceBudgetError
-from .polyalg import Gf2Polynomial, binom_int
+from .polyalg import Gf2Polynomial
 from .probpoly import (
     EXPANSION_BUDGET_DEFAULT,
     CircuitPlan,
@@ -46,11 +46,10 @@ from .probpoly import (
     ThresholdSpec,
     _compile,
     _draw_skeleton,
-    degree_bound,
     expand_circuit,
     sample_threshold,
 )
-from .vectors import BitVector, bit_matrix, pack_rows
+from .vectors import BitVector, bit_matrix
 
 __all__ = [
     "GroupPredicateSpec",
@@ -64,8 +63,7 @@ __all__ = [
     "eval_group_pair",
     "eval_group_pair_with",
     "group_pair_truth",
-    "projected_expansion_size",
-    "projection_fits",
+    "block_rows",
     "meets_dimension_advisory",
 ]
 
@@ -241,35 +239,24 @@ def group_pair_truth(
 # ---------------------------------------------------------------------------
 
 
-def _projection_degree(spec: GroupPredicateSpec) -> int:
-    return min(spec.d, int(degree_bound(spec.d, inner_error_budget(spec.s))))
+def block_rows(s: int, d: int) -> int:
+    """Rows of a draw's (s*s, R, W) block masks at k = 0, the most at any k.
 
-
-def projected_expansion_size(spec: GroupPredicateSpec) -> int:
-    """Upper bound on the expanded monomial count, cheap to compute.
-
-    Each inner monomial of degree i substitutes into 2^i monomials over an
-    (x_i, y_j) block pair, so one block pair contributes at most
-    sum_i C(d, i) * 2^i terms; the two factors multiply.
+    The exact inner threshold at k = 0 is [weight >= 1] = 1 + prod_t (1 + z_t),
+    every nonempty subset of the d coordinates, and a degree-r monomial
+    substitutes into 2^r monomials, so R = sum_r C(d, r) 2^r = 3^d - 1 per
+    block and s^2 * (3^d - 1) in all.
     """
-    deg = _projection_degree(spec)
-    per_pair = sum(binom_int(spec.d, i) * (1 << i) for i in range(deg + 1))
-    per_factor = spec.s**2 * per_pair + 1
-    return per_factor * per_factor
+    return s * s * (3**d - 1)
 
 
-def projection_fits(spec: GroupPredicateSpec, budget: int) -> bool:
-    """``projected_expansion_size(spec) <= budget``, summing only as far as needed.
-
-    Every term of the per-pair sum is nonnegative, so once the bound over a
-    prefix of the degrees passes the budget the full bound does too.
-    """
-    per_pair = 0
-    for i in range(_projection_degree(spec) + 1):
-        per_pair += binom_int(spec.d, i) * (1 << i)
-        if (spec.s**2 * per_pair + 1) ** 2 > budget:
-            return False
-    return True
+def _or_field(dst: np.ndarray, values: np.ndarray, offset: int, width: int) -> None:
+    """OR a column of ``width``-bit values into bit ``offset`` of the word
+    rows ``dst`` (last axis words); a field straddles at most two words."""
+    word, shift = divmod(offset, 64)
+    dst[..., word] |= values << np.uint64(shift)
+    if shift + width > 64:
+        dst[..., word + 1] |= values >> np.uint64(64 - shift)
 
 
 def _substituted_block_masks(p: Gf2Polynomial, spec: GroupPredicateSpec) -> np.ndarray:
@@ -279,29 +266,35 @@ def _substituted_block_masks(p: Gf2Polynomial, spec: GroupPredicateSpec) -> np.n
     the 2*s*d ambient variables.  Each degree-r monomial of p splits into
     2^r monomials, one per choice of the x or the y copy of each coordinate;
     distinct source monomials cannot collide, so within one block pair plain
-    concatenation keeps GF(2) semantics.
+    concatenation keeps GF(2) semantics.  Rows run by degree, then by term,
+    then by choice c, whose bit t picks the y copy of the term's t-th
+    coordinate.  A row is built as its d-bit x part and d-bit y part, and
+    the two are shifted into the words of x-block i and y-block j.
     """
     s, d = spec.s, spec.d
-    empty = np.zeros(0, dtype=np.int64)
-    rows, coords, picks_y = [empty], [empty], [empty]
-    n_rows = 0
-    for r in sorted({len(m) for m in p.terms}):
-        same_degree = [m for m in p.terms if len(m) == r]
-        terms = np.array(same_degree, dtype=np.int64).reshape(len(same_degree), r)
-        choice = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1  # 1 picks y
-        shape = (terms.shape[0], 1 << r, r)
-        rows.append(n_rows + np.repeat(np.arange(shape[0] << r), r))
-        coords.append(np.broadcast_to(terms[:, None, :], shape).ravel())
-        picks_y.append(np.broadcast_to(choice, shape).ravel())
-        n_rows += shape[0] << r
-    i, j = np.divmod(np.arange(s * s), s)
-    row = np.concatenate(rows)
-    var = np.concatenate(coords) + np.where(
-        np.concatenate(picks_y), (s + j[:, None]) * d, i[:, None] * d
-    )
-    bits = np.zeros((s * s, n_rows, spec.nvars), dtype=np.uint8)
-    bits[np.arange(s * s)[:, None], row, var] = 1
-    return pack_rows(bits.reshape(-1, spec.nvars)).reshape(s * s, n_rows, -1)
+    if 2 * d > 64:
+        raise ResourceBudgetError(
+            f"block rows are built in one 64-bit word, and 2*d = {2 * d} bits do not fit"
+        )
+    by_degree: dict[int, list] = {}
+    for m in p.terms:
+        by_degree.setdefault(len(m), []).append(m)
+    n_rows = sum(len(terms) << r for r, terms in by_degree.items())
+    out = np.zeros((s, s, n_rows, (spec.nvars + 63) // 64), dtype=np.uint64)
+    row = 0
+    for r in sorted(by_degree):
+        terms = np.array(by_degree[r], dtype=np.uint64).reshape(len(by_degree[r]), r)
+        bits = np.uint64(1) << terms
+        choice = ((np.arange(1 << r)[:, None] >> np.arange(r)) & 1).astype(np.uint64)
+        y = bits @ choice.T  # (terms, 2^r): the coordinates that take the y copy
+        x = (bits.sum(axis=1, dtype=np.uint64)[:, None] - y).ravel()
+        y = y.ravel()
+        rows = slice(row, row + len(x))
+        for g in range(s):
+            _or_field(out[g, :, rows], x, g * d, d)
+            _or_field(out[:, g, rows], y, (s + g) * d, d)
+        row += len(x)
+    return out.reshape(s * s, n_rows, -1)
 
 
 def _inner_blocks(
@@ -316,11 +309,10 @@ def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
     """Read-only block masks shared by every draw whose inner circuit is exact.
 
     Such a circuit samples no coordinates, so it is the same interpolation
-    on every draw for ``spec``.  Its expansion has at most 2^d monomials,
-    below the projection the caller has already checked against its budget.
+    on every draw for ``spec``, with at most 2^d monomials.
     """
     inner = sample_threshold(_draw_parts(spec)[0], np.random.default_rng(0))
-    blocks = _inner_blocks(inner, spec, projected_expansion_size(spec))
+    blocks = _inner_blocks(inner, spec, 1 << spec.d)
     blocks.setflags(write=False)
     return blocks
 
@@ -424,17 +416,16 @@ def expand_hamming_masks(
 
     The test and debugging view of the two factors of :func:`factor_masks`;
     the matrix pipeline never forms this product.
-    The result is cached on the sampled object.  Raises ResourceBudgetError
-    (naming the projected count) if the expansion would exceed the budget;
-    budgets count monomials, not words.
+    The result is cached on the sampled object.  Raises ResourceBudgetError,
+    naming the count, if the s^2 blocks have more rows in all than the
+    budget (:func:`block_rows`) or if the expansion would exceed it; budgets
+    count monomials, not words.
     """
     if hp.expanded_masks is not None:
         return hp.expanded_masks
-    projected = projected_expansion_size(hp.spec)
-    if projected > budget:
-        raise ResourceBudgetError(
-            "group polynomial expansion too large", projected=projected, budget=budget
-        )
+    rows = block_rows(hp.spec.s, hp.spec.d)
+    if rows > budget:
+        raise ResourceBudgetError("group polynomial blocks too large", projected=rows, budget=budget)
     f1, f2 = factor_masks(hp, budget)
     words = f1.shape[1]
     work = max(1, len(f1)) * max(1, len(f2))

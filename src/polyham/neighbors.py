@@ -13,9 +13,13 @@ the table.  Flagged pairs are brute-forced.  Every positive is verified by
 recomputing the distance, so reported pairs are unconditionally sound;
 completeness is the with-high-probability side.
 
-When the projected polynomial size exceeds the monomial budget (the common
-case beyond a dozen dimensions) the group size is halved until it fits, and
-below that the same contracts are served by exact bit-packed brute force.
+The pipeline engages only for an explicit group size s whose blocks fit
+the monomial budget: s^2 * (3^d - 1) rows, the block count at k = 0 and the
+most at any k.  Otherwise, and always for s = "auto", the same contracts are
+served by exact bit-packed brute force.  At every size the pipeline can
+reach its inner threshold circuit is exact, so each block restates a member
+distance predicate that one popcount decides; the paper's speedup needs an
+inner degree far below d, which no such instance has.
 The exact scans reduce the distance tiles of ``vectors.distance_tiles`` to
 a running nearest row per column as they come, and flagged pairs are
 verified through ``vectors.packed_distance_matrix``, the consumer that
@@ -40,8 +44,8 @@ from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
 from .hammingpoly import (
     GroupPredicateSpec,
     block_masks,
+    block_rows,
     meets_dimension_advisory,
-    projection_fits,
     sample_hamming_poly,
 )
 from .paireval import eval_sides, pack_sides
@@ -72,27 +76,27 @@ MONOMIAL_BUDGET_DEFAULT = 1 << 20
 class ClosestPairConfig:
     """Tuning for the probabilistic pipeline.
 
-    s: group size, or "auto" for n**(1/(u*c*log2(c)^2)) with c = dim/log2(n)
-       clamped to >= 2.  An auto group size is halved until the projected
-       polynomial fits the monomial budget; s = 1 still over budget means
-       pure brute force.  An explicit s is honored or brute-forced, never
-       silently halved.
+    s: group size, or "auto" for the exact scan.  An explicit s engages the
+       pipeline exactly when its s^2 * (3^d - 1) block rows fit the monomial
+       budget, and is never changed; otherwise the exact scan answers.
     rounds: amplification rounds, or "auto" for ceil(10*log2(n)).
-    monomial_budget: cap on expanded polynomial size (0 forces brute force).
+    monomial_budget: cap on the block rows (0 forces the exact scan).
     seed: recorded in result metadata; the rng passed to operations rules.
     """
 
     s: int | str = "auto"
-    u_param: float = 16.0
     rounds: int | str = "auto"
     monomial_budget: int = MONOMIAL_BUDGET_DEFAULT
     seed: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.s, int) and self.s < 1:
-            raise InvalidParametersError(f"group size must be >= 1, got {self.s}")
-        if isinstance(self.rounds, int) and self.rounds < 1:
-            raise InvalidParametersError(f"rounds must be >= 1, got {self.rounds}")
+        # a bool or a float or a string other than "auto" is an error, not "auto"
+        for name, least in (("s", 1), ("rounds", 1), ("monomial_budget", 0)):
+            value = getattr(self, name)
+            auto = name != "monomial_budget"
+            if not (auto and value == "auto") and (type(value) is not int or value < least):
+                want = "'auto' or an int" if auto else "an int"
+                raise InvalidParametersError(f"{name} must be {want} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,30 +185,24 @@ def _brute_close_pair(
 # ---------------------------------------------------------------------------
 
 
-def _auto_group_size(n: int, dim: int, u: float) -> int:
-    if n < 4:
-        return 2
-    c = max(2.0, dim / math.log2(n))
-    exponent = 1.0 / (u * c * math.log2(c) ** 2)
-    return max(2, int(n**exponent))
+def _plan(dim: int, cfg: ClosestPairConfig) -> tuple[int | None, bool, str]:
+    """Group size, whether the polynomial pipeline engages, and why.
 
-
-def _fits_budget(s: int, dim: int, budget: int) -> bool:
-    spec = GroupPredicateSpec(s, dim, 0)  # projection does not depend on k
-    return projection_fits(spec, budget)
-
-
-def _resolve_group_size(n: int, dim: int, cfg: ClosestPairConfig) -> tuple[int, bool]:
-    """Group size plus whether the polynomial pipeline engages at all."""
-    if isinstance(cfg.s, int):
-        return cfg.s, _fits_budget(cfg.s, dim, cfg.monomial_budget)
-    s = _auto_group_size(n, dim, cfg.u_param)
-    while True:
-        if _fits_budget(s, dim, cfg.monomial_budget):
-            return s, True
-        if s <= 1:
-            return 1, False
-        s //= 2
+    The one admission rule: an explicit s engages exactly when the rows of
+    its s^2 block polynomials, :func:`hammingpoly.block_rows`, fit the
+    monomial budget.  "auto" is the exact scan: wherever the blocks fit a
+    budget the inner circuit is exact, and they only restate member
+    distance predicates that a popcount decides.
+    """
+    if cfg.s == "auto":
+        return None, False, "s='auto' picks the exact scan: the inner threshold is exact"
+    s, budget = cfg.s, cfg.monomial_budget
+    rows = block_rows(s, dim)
+    shown = rows if rows < 1 << 63 else f"{s * s}*(3^{dim} - 1)"  # str() stops at 4300 digits
+    engaged = rows <= budget
+    verdict = "<=" if engaged else ">"
+    reason = f"s={s}, d={dim}: s^2*(3^d - 1) = {shown} block rows {verdict} budget {budget}"
+    return s, engaged, reason
 
 
 def _resolve_rounds(n: int, cfg: ClosestPairConfig) -> int:
@@ -216,14 +214,16 @@ def _resolve_rounds(n: int, cfg: ClosestPairConfig) -> int:
 def pipeline_info(n: int, dim: int, cfg: ClosestPairConfig) -> dict:
     """How the pipeline would configure itself for an instance (advisory).
 
+    ``reason`` says why the pipeline engages or the exact scan answers.
     The dimension advisory flags instances where the asymptotic monomial
     bound's precondition (dimension exceeding e^2*log2(group size)) fails;
     correctness does not depend on it.
     """
-    s, engaged = _resolve_group_size(n, dim, cfg)
+    s, engaged, reason = _plan(dim, cfg)
     info = {
         "group_size": s,
         "engaged": engaged,
+        "reason": reason,
         "rounds": _resolve_rounds(n, cfg) if engaged else None,
         "monomial_budget": cfg.monomial_budget,
     }
@@ -390,7 +390,7 @@ def _poly_close_pair(
         # first draw's blocks are every draw's, or every draw is refused.
         blocks = block_masks(draws[0], budget=cfg.monomial_budget)
     except ResourceBudgetError:
-        # projection admitted this size; blocks it cannot evaluate fall back
+        # a sampled inner circuit or an oversized block: exact scan
         if stats is not None:
             stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
         return _brute_close_pair(red_packed, blue_packed, k)
@@ -418,24 +418,6 @@ def _poly_close_pair(
     return best[1], best[2], best[0]
 
 
-def _decide(
-    red: Sequence[BitVector],
-    blue: Sequence[BitVector],
-    dim: int,
-    k: int,
-    engaged: bool,
-    s: int,
-    rounds: int,
-    cfg: ClosestPairConfig,
-    rng: np.random.Generator,
-) -> tuple[int, int, int] | None:
-    if not red or not blue:
-        return None
-    if engaged:
-        return _poly_close_pair(red, blue, dim, k, s, rounds, cfg, rng)
-    return _brute_close_pair(pack_vectors(red, dim), pack_vectors(blue, dim), k)
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -456,10 +438,14 @@ def bichromatic_close_pair(
         raise InvalidParametersError(f"need 0 <= k < dim, got k={k}, dim={ds.dim}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    n = max(len(ds.red), len(ds.blue))
-    s, engaged = _resolve_group_size(n, ds.dim, cfg)
-    rounds = _resolve_rounds(n, cfg)
-    res = _decide(ds.red, ds.blue, ds.dim, k, engaged, s, rounds, cfg, rng)
+    if not ds.red or not ds.blue:
+        return None
+    s, engaged, _ = _plan(ds.dim, cfg)
+    if engaged:
+        rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
+        res = _poly_close_pair(ds.red, ds.blue, ds.dim, k, s, rounds, cfg, rng)
+    else:
+        res = _brute_close_pair(pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim), k)
     if res is None:
         return None
     return res[0], res[1]
@@ -481,17 +467,16 @@ def closest_pair(
         rng = np.random.default_rng(cfg.seed)
     if len(ds.red) == 1 and len(ds.blue) == 1:
         return 0, 0, hamming_distance(ds.red[0], ds.blue[0])
-    n = max(len(ds.red), len(ds.blue))
-    s, engaged = _resolve_group_size(n, ds.dim, cfg)
+    s, engaged, _ = _plan(ds.dim, cfg)
     if not engaged:
         return closest_pair_bruteforce(ds)
-    rounds = _resolve_rounds(n, cfg)
+    rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
     hi = hamming_distance(ds.red[0], ds.blue[0])
     best = (0, 0, hi)
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        res = _decide(ds.red, ds.blue, ds.dim, mid, True, s, rounds, cfg, rng)
+        res = _poly_close_pair(ds.red, ds.blue, ds.dim, mid, s, rounds, cfg, rng)
         if res is not None:
             best = res
             hi = res[2]
@@ -529,12 +514,13 @@ def batch_nn(
     s_group = max(1, math.ceil(math.sqrt(n)))
     n_dg = (nd + s_group - 1) // s_group
     n_qg = (nq + s_group - 1) // s_group
-    s_inner, engaged = _resolve_group_size(s_group, dim, cfg)
+    s_inner, engaged, reason = _plan(dim, cfg)
     rounds = _resolve_rounds(s_group, cfg)
     max_dist = dim
 
     meta = {
         "mode": "poly" if engaged else "bruteforce-fallback",
+        "reason": reason,
         "group_size": s_group,
         "inner_group_size": s_inner if engaged else None,
         "rounds": rounds if engaged else None,

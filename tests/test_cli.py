@@ -53,7 +53,13 @@ def test_closest_pair_oracle_agreement(tmp_path, capsys):
     records = jsonl(out)
     assert records[0]["agrees"] is True
     assert "dist" in records[0]
-    assert records[-1]["meta"]["dim"] == 10
+    meta = records[-1]["meta"]
+    assert meta["dim"] == 10 and meta["engaged"] is False
+    assert meta["reason"].startswith("s='auto' picks the exact scan")
+    code, out, _ = run_cli(
+        capsys, "closest-pair", "--input", str(f), "--seed", "1", "--s", "1"
+    )
+    assert jsonl(out)[-1]["meta"]["reason"].endswith("block rows <= budget 1048576")
 
 
 def test_closest_pair_decision_mode(tmp_path, capsys):
@@ -91,6 +97,7 @@ def test_batch_nn_output(tmp_path, capsys):
     assert len(records) == 17  # 16 query rows + meta
     meta = records[-1]["meta"]
     assert meta["oracle_distance_matches"] == meta["oracle_total"] == 16
+    assert meta["mode"] == "bruteforce-fallback" and "exact scan" in meta["reason"]
 
 
 def test_l1_batch_nn_cli(tmp_path, capsys):
@@ -221,6 +228,21 @@ def test_bench_csv_shape(capsys):
     assert len(lines) == 1 + 2 * 1 * 2  # sizes x dims x modes
     for line in lines[1:]:
         assert line.split(",")[5] == "true"
+
+
+def test_bench_poly_rows_run_the_pipeline(capsys, monkeypatch):
+    # "auto" is the exact scan, so the poly rows must pin a group size
+    from polyham import neighbors
+
+    decisions = []
+    real = neighbors._poly_close_pair
+    monkeypatch.setattr(
+        neighbors, "_poly_close_pair", lambda *a, **kw: decisions.append(1) or real(*a, **kw)
+    )
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--dims", "4", "--mode", "brute")
+    assert code == 0 and not decisions
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--dims", "4", "--mode", "poly")
+    assert code == 0 and decisions
 
 
 def test_pretty_output(tmp_path, capsys):

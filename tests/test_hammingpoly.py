@@ -11,6 +11,7 @@ from polyham.hammingpoly import (
     _exact_inner_blocks,
     _inner_blocks,
     block_masks,
+    block_rows,
     eval_group_pair,
     eval_group_pair_with,
     expand_hamming_masks,
@@ -19,7 +20,6 @@ from polyham.hammingpoly import (
     group_pair_truth,
     inner_error_budget,
     meets_dimension_advisory,
-    projected_expansion_size,
     sample_hamming_poly,
 )
 from polyham.neighbors import _block_pattern, _coin_matrix, _pattern_flags, _pattern_table
@@ -217,11 +217,12 @@ def test_monomial_count_regression_bound():
 
 
 def test_expansion_budget_error():
+    # 16 * (3^12 - 1) block rows: refused before any block is built
     spec = GroupPredicateSpec(4, 12, 3)
     hp = sample_hamming_poly(spec, np.random.default_rng(10))
     with pytest.raises(ResourceBudgetError) as exc:
         expand_hamming_poly(hp)
-    assert exc.value.projected == projected_expansion_size(spec)
+    assert exc.value.projected == block_rows(4, 12) == 16 * (3**12 - 1)
 
 
 def eval_masks(masks, point):
@@ -260,19 +261,22 @@ def test_masks_poly_round_trip_two_words():
     assert len(as_ints) == q.monomial_count()
 
 
-def test_expansion_budget_counts_monomials(monkeypatch):
-    import polyham.hammingpoly as hammingpoly
-
+def test_expansion_budget_counts_monomials():
     spec = GroupPredicateSpec(17, 2, 1)
     m = len(expand_hamming_masks(sample_hamming_poly(spec, np.random.default_rng(15)), 10**7))
-    # lift the projection check so the final count check is the one that binds
-    monkeypatch.setattr(hammingpoly, "projected_expansion_size", lambda spec: 0)
+    # the block-row pre-check admits m - 1, so the final count check binds
+    assert block_rows(17, 2) <= m - 1
     hp = sample_hamming_poly(spec, np.random.default_rng(15))
     assert len(expand_hamming_masks(hp, budget=m)) == m
     hp = sample_hamming_poly(spec, np.random.default_rng(15))
     with pytest.raises(ResourceBudgetError) as exc:
         expand_hamming_masks(hp, budget=m - 1)
     assert exc.value.projected == m
+    # and below the block rows the pre-check refuses first
+    hp = sample_hamming_poly(spec, np.random.default_rng(15))
+    with pytest.raises(ResourceBudgetError) as exc:
+        expand_hamming_masks(hp, budget=block_rows(17, 2) - 1)
+    assert exc.value.projected == block_rows(17, 2)
 
 
 def draws_with_edge_subsets(spec, rng, n_random):
@@ -488,6 +492,60 @@ def test_exact_inner_blocks_shared_across_draws():
     again = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
     for want, hp in zip(masks, again):
         np.testing.assert_array_equal(expand_hamming_masks(hp), want)
+
+
+# sha256 of the block masks' bytes, recorded when the masks were still
+# built by a 0/1 scatter and a pack; (17, 2, 1) and (5, 7, 2) have two words
+# per row, and at (5, 7) the y-block of group 4 straddles them.
+PINNED_BLOCKS = {
+    (1, 6, 0): ((1, 728, 1), "9f7583557e4a6a58c818ea45f162186de3640d1972364867d70c922d91e01b77"),
+    (1, 6, 3): ((1, 240, 1), "6ee86309c0ba70b17a6479379bc958cd4826520d367aad130729ed04ddce8b09"),
+    (2, 4, 0): ((4, 80, 1), "f258f67812c20506872a09b7913aed10ac305f6d9bfaef532c29f2c4d37ae9e7"),
+    (2, 5, 2): ((4, 160, 1), "f2da3124d98298fb98bd38cfe74947db3e66b5ba5a03b29250682d5b280dcf02"),
+    (3, 3, 1): ((9, 12, 1), "a1afafe7877e709945f92e9b2f4a1b44b63c1b2a7fb75f510b6e02f4cafd0dd5"),
+    (17, 2, 1): ((289, 4, 2), "7c27bcb948cc3cd2b8779fa92823aabfddf45bb580d96a5721d2815af39705a1"),
+    (5, 7, 2): ((25, 968, 2), "919c1777c9abb5f3ddac02c23c18f31fa7a18d546a727cf87ba4c31eaf8ee5dd"),
+    (1, 10, 4): ((1, 48384, 1), "95b928b54bd3e68b413e842c7717f32db0b5de36cddad6a8648a749106c84c0d"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BLOCKS))
+def test_exact_inner_blocks_pinned(key):
+    import hashlib
+
+    shape, digest = PINNED_BLOCKS[key]
+    blocks = _exact_inner_blocks(GroupPredicateSpec(*key))
+    assert blocks.shape == shape
+    assert hashlib.sha256(blocks.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("s, d", [(1, 12), (32, 6)])
+def test_exact_inner_blocks_memory_is_near_the_output(s, d):
+    # the scatter-and-pack build peaked at 55x (1, 12) and 11x (32, 6) the
+    # masks it returned; the word build stays within 3x
+    import tracemalloc
+
+    spec = GroupPredicateSpec(s, d, 0)
+    _exact_inner_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blocks = _exact_inner_blocks(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        _exact_inner_blocks.cache_clear()
+    assert blocks.shape[:2] == (s * s, 3**d - 1)
+    assert peak <= 3 * blocks.nbytes
+
+
+def test_block_masks_need_one_word_per_row_part():
+    from polyham.hammingpoly import _substituted_block_masks
+    from polyham.polyalg import Gf2Polynomial
+
+    spec = GroupPredicateSpec(1, 33, 0)
+    with pytest.raises(ResourceBudgetError, match="64-bit"):
+        _substituted_block_masks(Gf2Polynomial(33, [(0,)]), spec)
 
 
 def test_dimension_advisory():

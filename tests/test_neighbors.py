@@ -3,15 +3,17 @@ import pytest
 
 from polyham.errors import EmptyInputError, InvalidParametersError
 from polyham.neighbors import (
+    MONOMIAL_BUDGET_DEFAULT,
     ClosestPairConfig,
     _group_point_bits,
     _nearest_rows,
-    _resolve_group_size,
+    _plan,
     batch_nn,
     batch_nn_bruteforce,
     bichromatic_close_pair,
     closest_pair,
     closest_pair_bruteforce,
+    pipeline_info,
 )
 from polyham.vectors import (
     BitVector,
@@ -22,8 +24,8 @@ from polyham.vectors import (
     pack_vectors,
 )
 
-ENGAGED_CFG = ClosestPairConfig(s=1, rounds=9)   # polynomial path live at d <= 6
-ENGAGED_S2_CFG = ClosestPairConfig(s=2, rounds=9)  # heavier; live at d <= 5
+ENGAGED_CFG = ClosestPairConfig(s=1, rounds=9)   # polynomial path live at d <= 12
+ENGAGED_S2_CFG = ClosestPairConfig(s=2, rounds=9)  # heavier; live at d <= 11
 BRUTE_CFG = ClosestPairConfig(monomial_budget=0)
 
 
@@ -167,33 +169,73 @@ def test_nearest_rows_memory_is_bounded_by_the_budget(d):
 # ---------------------------------------------------------------------------
 
 
-def test_group_size_auto_halves_until_it_fits():
-    # big dims project over budget all the way down to s = 1: brute force
-    assert _resolve_group_size(256, 16, ClosestPairConfig()) == (1, False)
-    assert _resolve_group_size(1024, 40, ClosestPairConfig()) == (1, False)
-    # small dims engage
-    s, engaged = _resolve_group_size(64, 5, ClosestPairConfig())
-    assert engaged and s >= 1
-    # budget 0 can never engage
-    assert _resolve_group_size(64, 4, BRUTE_CFG) == (1, False)
+def test_auto_group_size_is_the_exact_scan():
+    # "auto" never engages, at any size or budget, and the plan says why
+    for n, d in ((256, 16), (1024, 40), (64, 5), (64, 4), (4, 1)):
+        for budget in (0, MONOMIAL_BUDGET_DEFAULT, 10**12):
+            cfg = ClosestPairConfig(monomial_budget=budget)
+            assert _plan(d, cfg)[:2] == (None, False)
+            info = pipeline_info(n, d, cfg)
+            assert (info["engaged"], info["group_size"], info["rounds"]) == (False, None, None)
+            assert info["reason"].startswith("s='auto' picks the exact scan")
 
 
 def test_explicit_group_size_is_not_halved():
-    s, engaged = _resolve_group_size(64, 6, ClosestPairConfig(s=2))
-    assert (s, engaged) == (2, False)  # over budget at s=2, d=6: brute force
-    s, engaged = _resolve_group_size(64, 5, ClosestPairConfig(s=2))
-    assert (s, engaged) == (2, True)
+    # at the default budget s = 1 engages at d = 12 but not 13, s = 2 at 11
+    # but not 12; the reason gives s^2 * (3^d - 1) against the budget
+    for s, d_max in ((1, 12), (2, 11)):
+        for d, want in ((d_max, True), (d_max + 1, False)):
+            got, engaged, reason = _plan(d, ClosestPairConfig(s=s))
+            assert (got, engaged) == (s, want)
+            verdict = "<=" if want else ">"
+            assert reason == (
+                f"s={s}, d={d}: s^2*(3^d - 1) = {s * s * (3**d - 1)} block rows "
+                f"{verdict} budget {MONOMIAL_BUDGET_DEFAULT}"
+            )
+            assert pipeline_info(64, d, ClosestPairConfig(s=s))["reason"] == reason
+    # a budget of exactly the count engages; one less does not
+    for s, d in ((1, 6), (2, 4), (3, 5), (17, 2)):
+        rows = s * s * (3**d - 1)
+        assert _plan(d, ClosestPairConfig(s=s, monomial_budget=rows))[:2] == (s, True)
+        assert _plan(d, ClosestPairConfig(s=s, monomial_budget=rows - 1))[:2] == (s, False)
+    # a count past what an int prints in full is shown as its formula
+    engaged, reason = _plan(10_000, ClosestPairConfig(s=3))[1:]
+    assert not engaged and "= 9*(3^10000 - 1) block rows >" in reason
 
 
-def test_fits_budget_agrees_with_projection():
-    from polyham.hammingpoly import GroupPredicateSpec, projected_expansion_size
-    from polyham.neighbors import _fits_budget
+def test_block_rows_bound_every_k():
+    # the admitted count is the row count of the (s^2, R, W) block array at
+    # k = 0, and no k has more rows
+    from polyham.hammingpoly import GroupPredicateSpec, _exact_inner_blocks, block_rows
 
     for s in (1, 2, 3):
-        for d in (1, 2, 5, 6, 10, 64, 300):
-            projected = projected_expansion_size(GroupPredicateSpec(s, d, 0))
-            for budget in (0, 1, projected - 1, projected, projected + 1, 1 << 20):
-                assert _fits_budget(s, d, budget) == (projected <= budget), (s, d, budget)
+        for d in (1, 2, 3, 5, 6):
+            shapes = [_exact_inner_blocks(GroupPredicateSpec(s, d, k)).shape for k in range(d)]
+            assert shapes[0][0] == s * s
+            assert block_rows(s, d) == s * s * shapes[0][1] == s * s * (3**d - 1)
+            assert max(rows for _, rows, _ in shapes) == shapes[0][1], (s, d)
+
+
+def test_defaults_scan_exactly(monkeypatch):
+    # with defaults no decision runs the pipeline; closest pair and the
+    # decision oracle scan exactly and equal brute force
+    import polyham.neighbors as neighbors
+
+    rng = np.random.default_rng(28)
+    ds = random_dataset(rng, 64, 5)
+    want = closest_pair_bruteforce(ds)
+    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    poly = spy(monkeypatch, neighbors, "_poly_close_pair")
+    assert closest_pair(ds) == want and len(brute) == 1
+    assert bichromatic_close_pair(ds, want[2]) == want[:2] and len(brute) == 2
+    res = batch_nn(list(ds.red), list(ds.blue))
+    assert res.meta["mode"] == "bruteforce-fallback"
+    assert res.meta["reason"] == pipeline_info(64, 5, ClosestPairConfig())["reason"]
+    assert res.entries == batch_nn_bruteforce(list(ds.red), list(ds.blue)).entries
+    for d in range(1, 7):
+        ds = random_dataset(rng, 40, d)
+        assert closest_pair(ds) == closest_pair_bruteforce(ds)
+    assert not poly
 
 
 def test_config_validation():
@@ -201,6 +243,18 @@ def test_config_validation():
         ClosestPairConfig(s=0)
     with pytest.raises(InvalidParametersError):
         ClosestPairConfig(rounds=0)
+    # a mistyped value is an error, not a silent "auto"
+    for bad in ("2", 2.0, "Auto", True, None):
+        with pytest.raises(InvalidParametersError):
+            ClosestPairConfig(s=bad)
+    for bad in ("7", 7.5, False, "AUTO"):
+        with pytest.raises(InvalidParametersError):
+            ClosestPairConfig(rounds=bad)
+    for bad in (-1, 1.5, "10", True):
+        with pytest.raises(InvalidParametersError):
+            ClosestPairConfig(monomial_budget=bad)
+    ClosestPairConfig(s=1, rounds="auto", monomial_budget=0)
+    ClosestPairConfig(s="auto", rounds=1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +561,7 @@ def test_pipeline_above_64_variables():
     rng = np.random.default_rng(16)
     ds = even_odd_dataset(rng, 40, 2)
     cfg = ClosestPairConfig(s=17, rounds=5, monomial_budget=10**7)
-    assert _resolve_group_size(40, 2, cfg) == (17, True)
+    assert _plan(2, cfg)[:2] == (17, True)
     assert closest_pair(ds, cfg, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
     # every pair is at distance 1, so the k=1 decision must find one
     found = bichromatic_close_pair(ds, 1, cfg, np.random.default_rng(2))
@@ -538,7 +592,7 @@ def test_pipeline_never_expands_the_product(monkeypatch):
     calls = spy(monkeypatch, neighbors, "block_masks")
     rng = np.random.default_rng(20)
     ds = random_dataset(rng, 20, 4)
-    assert _resolve_group_size(20, 4, ENGAGED_S2_CFG) == (2, True)
+    assert _plan(4, ENGAGED_S2_CFG)[:2] == (2, True)
     assert closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
     db, queries = list(ds.red[:12]), list(ds.blue[:12])
     res = batch_nn(db, queries, ENGAGED_S2_CFG, np.random.default_rng(2))
@@ -580,9 +634,9 @@ def test_budget_fallback_still_fires(monkeypatch):
 
     d = 4
     rows = min(_exact_inner_blocks(GroupPredicateSpec(2, d, k)).shape[1] for k in range(d))
-    monkeypatch.setattr(neighbors, "projection_fits", lambda spec, budget: True)
+    monkeypatch.setattr(neighbors, "block_rows", lambda s, d: 0)
     cfg = ClosestPairConfig(s=2, rounds=9, monomial_budget=rows - 1)
-    assert _resolve_group_size(20, d, cfg) == (2, True)
+    assert _plan(d, cfg)[:2] == (2, True)
     ds = random_dataset(np.random.default_rng(23), 20, d)
     want = closest_pair_bruteforce(ds)
     brute = spy(monkeypatch, neighbors, "_brute_close_pair")
