@@ -104,7 +104,8 @@ def _config(args, seed: int) -> ClosestPairConfig:
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--s", type=_int_or_auto, default="auto",
-        help="group size: 'auto' scans exactly; s runs the pipeline if s^2*(3^d-1) <= --budget",
+        help="group size: 'auto' scans exactly; s runs the pipeline if d <= 32 "
+        "and s^2*(3^d-1) <= --budget",
     )
     p.add_argument(
         "--rounds", type=_int_or_auto, default="auto", help="amplification rounds or 'auto'"
@@ -353,15 +354,14 @@ def _cmd_bench(args) -> int:
     sizes = [int(t) for t in args.sizes.split(",")]
     dims = [int(t) for t in args.dims.split(",")]
     modes = ["poly", "brute"] if args.mode == "both" else [args.mode]
-    lines = ["n,d,mode,seconds,dist,agree"]
+    lines = ["n,d,mode,path,seconds,dist,agree"]
     for n in sizes:
         for d in dims:
             rng = np.random.default_rng([seed, n, d])
             red = tuple(BitVector.random(rng, d) for _ in range(n))
             blue = tuple(BitVector.random(rng, d) for _ in range(n))
             ds = Dataset(d, red, blue)
-            answers = {}
-            timings = {}
+            answers, timings, paths = {}, {}, {}
             for mode in modes:
                 # "auto" is the exact scan, so the poly rows pin s = 2
                 cfg = ClosestPairConfig(
@@ -375,9 +375,11 @@ def _cmd_bench(args) -> int:
                 )
                 timings[mode] = time.perf_counter() - t0
                 answers[mode] = dist
+                paths[mode] = "poly" if neighbors.pipeline_info(n, d, cfg)["engaged"] else "exact"
             agree = str(len(set(answers.values())) == 1).lower() if len(modes) > 1 else ""
             for mode in modes:
-                lines.append(f"{n},{d},{mode},{timings[mode]:.6f},{answers[mode]},{agree}")
+                row = (n, d, mode, paths[mode], f"{timings[mode]:.6f}", answers[mode], agree)
+                lines.append(",".join(map(str, row)))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 

@@ -13,18 +13,20 @@ certainty when no pair is close, and 1 with probability exactly 3/4 over
 
 The polynomial lives on 2*s*d variables: the s x-blocks first, then the s
 y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion).
-``block_masks`` gives the s^2 block polynomials P_ij = p(x_i xor y_j) of a
-draw as (m, W) uint64 word masks, the form the all-pairs matrix pipeline
-consumes, at every width.  Evaluation over GF(2) respects sums and
-products, so on a pair of groups whose blocks take the values b_ij, factor
-r evaluates to E_r = (1 + |R_r|) + sum_{R_r} b_ij and q to 1 + E_1*E_2: a
-draw's vote depends only on the s^2-bit pattern b.  p is exact at every
-size the pipeline reaches, so every draw for a spec shares the same
-blocks; the pipeline evaluates them once per decision and reads the votes
-of all its draws from one table indexed by the pattern.  ``factor_masks``
-gives the two factors as explicit polynomials and ``expand_hamming_masks``
-multiplies them out into q's own monomials; both are views for tests and
-debugging.
+Every block P_ij = p(x_i xor y_j) is the one polynomial p(x xor y) on 2*d
+variables, applied to member i of one group and member j of the other;
+``block_masks`` gives it as (R, 1) uint64 word masks, the form the
+all-pairs matrix pipeline consumes.  Evaluation over GF(2) respects sums
+and products, so on a pair of groups whose blocks take the values b_ij,
+factor r evaluates to E_r = (1 + |R_r|) + sum_{R_r} b_ij and q to
+1 + E_1*E_2: a draw's vote depends only on the s^2-bit pattern b.  p is
+exact at every size the pipeline reaches, so every draw for (d, k) shares
+the same block; the pipeline evaluates it once per decision on all member
+pairs and reads the votes of all its draws from one table indexed by the
+pattern.  ``factor_masks`` places the block at every (i, j) of the 2*s*d
+variables and gives the two factors as explicit polynomials, and
+``expand_hamming_masks`` multiplies them out into q's own monomials; both
+are views for tests and debugging.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def group_pair_truth(
 
 
 def block_rows(s: int, d: int) -> int:
-    """Rows of a draw's (s*s, R, W) block masks at k = 0, the most at any k.
+    """s^2 times the rows of the block polynomial at k = 0, the most at any k.
 
     The exact inner threshold at k = 0 is [weight >= 1] = 1 + prod_t (1 + z_t),
     every nonempty subset of the d coordinates, and a degree-r monomial
@@ -259,60 +261,69 @@ def _or_field(dst: np.ndarray, values: np.ndarray, offset: int, width: int) -> N
         dst[..., word + 1] |= values >> np.uint64(64 - shift)
 
 
-def _substituted_block_masks(p: Gf2Polynomial, spec: GroupPredicateSpec) -> np.ndarray:
-    """Word masks of p(x_i xor y_j) for every block pair, shape (s*s, R, W).
+def _inner_masks(inner: SampledThresholdCircuit, budget: int) -> np.ndarray:
+    """Word masks of p(x xor y) for a drawn inner circuit p on d variables,
+    shape (R, 1): x at bits 0..d-1, y at bits d..2d-1.
 
-    Block pair (i, j) sits at index i*s + j; its R rows are monomials over
-    the 2*s*d ambient variables.  Each degree-r monomial of p splits into
-    2^r monomials, one per choice of the x or the y copy of each coordinate;
-    distinct source monomials cannot collide, so within one block pair plain
+    p is expanded within ``budget`` monomials.  Each degree-r monomial of p
+    splits into 2^r monomials, one per choice of the x or the y copy of each
+    coordinate; distinct source monomials cannot collide, so plain
     concatenation keeps GF(2) semantics.  Rows run by degree, then by term,
     then by choice c, whose bit t picks the y copy of the term's t-th
-    coordinate.  A row is built as its d-bit x part and d-bit y part, and
-    the two are shifted into the words of x-block i and y-block j.
+    coordinate.  Raises ResourceBudgetError before expanding when a row
+    does not fit one word.
     """
-    s, d = spec.s, spec.d
+    d = inner.spec.n
     if 2 * d > 64:
         raise ResourceBudgetError(
             f"block rows are built in one 64-bit word, and 2*d = {2 * d} bits do not fit"
         )
+    p = Gf2Polynomial.from_int_polynomial(expand_circuit(inner, budget=budget))
     by_degree: dict[int, list] = {}
     for m in p.terms:
         by_degree.setdefault(len(m), []).append(m)
-    n_rows = sum(len(terms) << r for r, terms in by_degree.items())
-    out = np.zeros((s, s, n_rows, (spec.nvars + 63) // 64), dtype=np.uint64)
+    out = np.empty((sum(len(terms) << r for r, terms in by_degree.items()), 1), dtype=np.uint64)
     row = 0
     for r in sorted(by_degree):
         terms = np.array(by_degree[r], dtype=np.uint64).reshape(len(by_degree[r]), r)
         bits = np.uint64(1) << terms
         choice = ((np.arange(1 << r)[:, None] >> np.arange(r)) & 1).astype(np.uint64)
         y = bits @ choice.T  # (terms, 2^r): the coordinates that take the y copy
-        x = (bits.sum(axis=1, dtype=np.uint64)[:, None] - y).ravel()
-        y = y.ravel()
-        rows = slice(row, row + len(x))
-        for g in range(s):
-            _or_field(out[g, :, rows], x, g * d, d)
-            _or_field(out[:, g, rows], y, (s + g) * d, d)
-        row += len(x)
-    return out.reshape(s * s, n_rows, -1)
+        x = bits.sum(axis=1, dtype=np.uint64)[:, None] - y
+        out[row : row + x.size, 0] = (x | y << np.uint64(d)).ravel()
+        row += x.size
+    return out
 
 
-def _inner_blocks(
-    inner: SampledThresholdCircuit, spec: GroupPredicateSpec, budget: int
-) -> np.ndarray:
-    p_int = expand_circuit(inner, budget=budget)
-    return _substituted_block_masks(Gf2Polynomial.from_int_polynomial(p_int), spec)
+@functools.lru_cache(maxsize=32)
+def _member_block(d: int, k: int) -> np.ndarray:
+    """Read-only :func:`_inner_masks` of the exact threshold [weight >= k+1]
+    on d variables: it samples nothing, so every draw and every group size
+    shares it."""
+    inner = sample_threshold(_draw_parts(GroupPredicateSpec(1, d, k))[0], np.random.default_rng(0))
+    block = _inner_masks(inner, 1 << d)
+    block.setflags(write=False)
+    return block
 
 
 @functools.lru_cache(maxsize=32)
 def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
-    """Read-only block masks shared by every draw whose inner circuit is exact.
+    """The member block placed at every block pair: read-only (s*s, R, W).
 
-    Such a circuit samples no coordinates, so it is the same interpolation
-    on every draw for ``spec``, with at most 2^d monomials.
+    Block pair (i, j) sits at index i*s + j, its x part in the words of
+    x-block i and its y part in those of y-block j of the 2*s*d ambient
+    variables.  Only :func:`factor_masks` and its views use this layout.
     """
-    inner = sample_threshold(_draw_parts(spec)[0], np.random.default_rng(0))
-    blocks = _inner_blocks(inner, spec, 1 << spec.d)
+    s, d = spec.s, spec.d
+    if s == 1:
+        return _member_block(d, spec.k)[None]  # x-block 0 and y-block 0 are x and y
+    member = _member_block(d, spec.k)[:, 0]
+    x, y = member & np.uint64((1 << d) - 1), member >> np.uint64(d)
+    out = np.zeros((s, s, len(member), (spec.nvars + 63) // 64), dtype=np.uint64)
+    for g in range(s):
+        _or_field(out[g], x, g * d, d)
+        _or_field(out[:, g], y, (s + g) * d, d)
+    blocks = out.reshape(s * s, len(member), -1)
     blocks.setflags(write=False)
     return blocks
 
@@ -338,48 +349,42 @@ def _parity_unique(masks: np.ndarray) -> np.ndarray:
     return masks[starts[(counts & 1) == 1]]
 
 
-def block_masks(
-    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
-) -> np.ndarray:
-    """The draw's block polynomials p(x_i xor y_j) as (s*s, R, W) uint64 masks.
+def block_masks(hp: SampledHammingPolynomial) -> np.ndarray:
+    """The draw's block polynomial p(x xor y) as (R, 1) uint64 masks over 2*d
+    variables: x at bits 0..d-1, y at bits d..2d-1.
 
-    Block pair (i, j) sits at index i*s + j; W = ceil(2*s*d / 64), and
-    variable v is bit v % 64 of word v // 64 (the layout of
-    ``vectors.pack_rows``).  Every draw for a spec gets the same read-only
-    array, so one evaluation of the blocks serves all of them.  Raises
-    ResourceBudgetError when a block has more than ``budget`` rows, and
-    when the inner circuit is sampled: such a draw's blocks are its own,
-    and where sampling starts (d = 2,331 at s = 1) their expansion is far
-    past any budget.
+    Block pair (i, j) is this polynomial on member i of the red group and
+    member j of the blue group, so one all-pairs evaluation on the members
+    gives every block's values.  Every draw for (d, k) gets the same
+    read-only array.  Raises ResourceBudgetError when 2*d > 64, and when
+    the inner circuit is sampled: such a draw's block is its own, and where
+    sampling starts (d = 2,331 at s = 1) it is far past any budget.
     """
     if hp.inner.kind != "exact_base":
         raise ResourceBudgetError(
             f"inner circuit on {hp.spec.d} variables is sampled, not exact: "
             "its blocks would differ per draw and are not expanded"
         )
-    blocks = _exact_inner_blocks(hp.spec)
-    if blocks.shape[1] > budget:
-        raise ResourceBudgetError(
-            "inner block polynomial too large", projected=blocks.shape[1], budget=budget
-        )
-    return blocks
+    return _member_block(hp.spec.d, hp.spec.k)
 
 
 def factor_masks(
     hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two factors f_r = 1 + sum_{(i,j) in R_r} (1 + p(x_i xor y_j)) of
-    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks in the layout of
-    :func:`block_masks`.
+    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks over the 2*s*d
+    variables, W = ceil(2*s*d / 64), variable v at bit v % 64 of word v // 64
+    (the layout of ``vectors.pack_rows``).
 
-    A test and debugging view: the pipeline evaluates the blocks and votes
-    from their values.  When R_1 = R_2 the
-    same array is returned twice.  Raises ResourceBudgetError (naming the
-    row count) if a factor has more rows than the budget; budgets count
+    A test and debugging view: the pipeline evaluates :func:`block_masks`
+    on member pairs and votes from the values.  When R_1 = R_2 the same
+    array is returned twice.  Raises ResourceBudgetError (naming the row
+    count) if a factor has more rows than the budget; budgets count
     monomials, not words.
     """
     spec = hp.spec
-    blocks = block_masks(hp, budget)
+    block_masks(hp)  # refuses a sampled inner circuit
+    blocks = _exact_inner_blocks(spec)
     words = blocks.shape[2]
     factors = []
     for subset in (hp.r1, hp.r2) if hp.r1 != hp.r2 else (hp.r1,):

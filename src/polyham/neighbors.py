@@ -3,23 +3,26 @@
 The decision pipeline groups both sides, samples a batch of group-predicate
 polynomials, and majority-votes per group pair.  Each polynomial is
 1 + f1*f2 with factors f_r = (1 + |R_r|) + sum_{R_r} P_ij over the s^2
-block polynomials P_ij.  The blocks of an exact inner circuit are the same
-on every draw, so a draw's vote on a group pair depends only on the s^2
-bits its blocks take there, and the votes of all the decision's draws are
-one table indexed by that pattern.  The decision evaluates the blocks once
-on all group pairs through the packed GF(2) matrix product, a tile of red
-groups at a time within a byte budget, and looks each cell's pattern up in
-the table.  Flagged pairs are brute-forced.  Every positive is verified by
+block polynomials P_ij = p(x_i xor y_j).  The inner circuit p is exact at
+every size the pipeline reaches, so every block is the same polynomial on
+2d variables and a draw's vote on a group pair depends only on the s^2
+bits its blocks take there; the votes of all the decision's draws are one
+table indexed by that pattern.  The decision evaluates the one block
+polynomial on member pairs through the packed GF(2) matrix product, one
+product per tile of red groups within a byte budget, reads each group
+pair's pattern from it by index, and looks the pattern up in the table.
+Flagged pairs are brute-forced.  Every positive is verified by
 recomputing the distance, so reported pairs are unconditionally sound;
 completeness is the with-high-probability side.
 
-The pipeline engages only for an explicit group size s whose blocks fit
-the monomial budget: s^2 * (3^d - 1) rows, the block count at k = 0 and the
-most at any k.  Otherwise, and always for s = "auto", the same contracts are
-served by exact bit-packed brute force.  At every size the pipeline can
-reach its inner threshold circuit is exact, so each block restates a member
-distance predicate that one popcount decides; the paper's speedup needs an
-inner degree far below d, which no such instance has.
+The pipeline engages only for an explicit group size s with d <= 32 (a
+block row over 2d bits is one 64-bit word) whose blocks fit the monomial
+budget: s^2 * (3^d - 1) rows, the block count at k = 0 and the most at any
+k.  Otherwise, and always for s = "auto", the plan picks the exact scan,
+which serves the same contracts by bit-packed brute force, and says why.
+Each block restates a member distance predicate that one popcount
+decides; the paper's speedup needs an inner degree far below d, which no
+such instance has.
 The exact scans reduce the distance tiles of ``vectors.distance_tiles`` to
 a running nearest row per column as they come, and flagged pairs are
 verified through ``vectors.packed_distance_matrix``, the consumer that
@@ -40,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParametersError, ResourceBudgetError
+from .errors import EmptyInputError, InvalidParametersError
 from .hammingpoly import (
     GroupPredicateSpec,
     block_masks,
@@ -48,7 +51,7 @@ from .hammingpoly import (
     meets_dimension_advisory,
     sample_hamming_poly,
 )
-from .paireval import eval_sides, pack_sides
+from .paireval import eval_sides
 from .vectors import (
     DISTANCE_BUDGET_BYTES,
     BitVector,
@@ -188,11 +191,12 @@ def _brute_close_pair(
 def _plan(dim: int, cfg: ClosestPairConfig) -> tuple[int | None, bool, str]:
     """Group size, whether the polynomial pipeline engages, and why.
 
-    The one admission rule: an explicit s engages exactly when the rows of
-    its s^2 block polynomials, :func:`hammingpoly.block_rows`, fit the
-    monomial budget.  "auto" is the exact scan: wherever the blocks fit a
-    budget the inner circuit is exact, and they only restate member
-    distance predicates that a popcount decides.
+    The one admission rule: an explicit s engages exactly when a block row
+    over 2d bits fits one 64-bit word (d <= 32) and the rows of its s^2
+    block polynomials, :func:`hammingpoly.block_rows`, fit the monomial
+    budget.  "auto" is the exact scan: wherever the blocks fit a budget the
+    inner circuit is exact, and they only restate member distance
+    predicates that a popcount decides.
     """
     if cfg.s == "auto":
         return None, False, "s='auto' picks the exact scan: the inner threshold is exact"
@@ -202,7 +206,9 @@ def _plan(dim: int, cfg: ClosestPairConfig) -> tuple[int | None, bool, str]:
     engaged = rows <= budget
     verdict = "<=" if engaged else ">"
     reason = f"s={s}, d={dim}: s^2*(3^d - 1) = {shown} block rows {verdict} budget {budget}"
-    return s, engaged, reason
+    if dim > 32:
+        reason += f"; 2d = {2 * dim} bits do not fit a 64-bit block row"
+    return s, engaged and dim <= 32, reason
 
 
 def _resolve_rounds(n: int, cfg: ClosestPairConfig) -> int:
@@ -239,19 +245,15 @@ def pipeline_info(n: int, dim: int, cfg: ClosestPairConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _group_point_bits(packed: np.ndarray, dim: int, s: int) -> np.ndarray:
-    """Concatenate each size-s group's coordinates into one 0/1 point row.
+def _block_major(n: int, s: int, g0: int, groups: int) -> np.ndarray:
+    """Member indices of groups g0 .. g0 + groups - 1 laid out block-major:
+    entry i*groups + g is member min((g0 + g)*s + i, n - 1).
 
     The last group is padded with copies of its final member, which adds no
     new pairs and never changes the answer.
     """
-    n = packed.shape[0]
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=dim, bitorder="little")
-    n_groups = (n + s - 1) // s
-    idx = np.minimum(
-        np.arange(n_groups)[:, None] * s + np.arange(s)[None, :], n - 1
-    )
-    return bits[idx].reshape(n_groups, s * bits.shape[1])
+    g = np.arange(g0, g0 + groups)
+    return np.minimum(np.arange(s)[:, None] + g * s, n - 1).ravel()
 
 
 def _coin_matrix(draws: Sequence, s: int) -> np.ndarray:
@@ -303,15 +305,19 @@ def _pattern_table(coins: np.ndarray, n_blocks: int) -> np.ndarray | None:
     return _majority(every.reshape(-1, width), coins)
 
 
-def _block_pattern(
-    blocks: np.ndarray, sides: tuple[np.ndarray, np.ndarray], budget: int
-) -> np.ndarray:
-    """(na, nb, width) uint8: each cell's block values, block b at bit b % 8
-    of byte b // 8, from one all-pairs evaluation per block."""
-    na, nb = sides[0].shape[0], sides[1].shape[0]
-    pattern = np.zeros((na, nb, (len(blocks) + 7) // 8), dtype=np.uint8)
-    for bit, block in enumerate(blocks):
-        pattern[..., bit // 8] |= eval_sides(block, sides, budget) << (bit % 8)
+def _block_pattern(vals: np.ndarray) -> np.ndarray:
+    """(G, H, width) uint8 block patterns from (s, G, s, H) member values.
+
+    ``vals[i, g, j, h]`` is the block polynomial on member i of red group g
+    and member j of blue group h, so it is bit b = i*s + j of cell (g, h),
+    set at bit b % 8 of byte b // 8.
+    """
+    s, groups, _, n_blue = vals.shape
+    pattern = np.zeros((groups, n_blue, (s * s + 7) // 8), dtype=np.uint8)
+    for i in range(s):
+        for j in range(s):
+            b = i * s + j
+            pattern[..., b // 8] |= vals[i, :, j, :] << (b % 8)
     return pattern
 
 
@@ -370,46 +376,42 @@ def _best_flagged(
 
 
 def _poly_close_pair(
-    red: Sequence[BitVector],
-    blue: Sequence[BitVector],
+    red_packed: np.ndarray,
+    blue_packed: np.ndarray,
     dim: int,
     k: int,
     s: int,
     rounds: int,
-    cfg: ClosestPairConfig,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> tuple[int, int, int] | None:
-    """Grouped majority-vote pipeline; returns a verified best pair or None."""
+    """Grouped majority-vote pipeline; returns a verified best pair or None.
+
+    The plan admits only d <= 32 with an exact inner circuit, so every draw
+    shares one block polynomial over 2d bits and a member is one word: red
+    x | ones << d, blue ones | y << d.  A tile of red groups is one GF(2)
+    product of the block on its red members against every blue member,
+    both block-major, and each group pair's pattern is read from it.
+    """
     spec = GroupPredicateSpec(s, dim, k)
-    red_packed = pack_vectors(red, dim)
-    blue_packed = pack_vectors(blue, dim)
-    draws = [sample_hamming_poly(spec, rng)]
-    try:
-        # The plan decides whether a spec's inner circuit is exact, so the
-        # first draw's blocks are every draw's, or every draw is refused.
-        blocks = block_masks(draws[0], budget=cfg.monomial_budget)
-    except ResourceBudgetError:
-        # a sampled inner circuit or an oversized block: exact scan
-        if stats is not None:
-            stats["fallback_calls"] = stats.get("fallback_calls", 0) + 1
-        return _brute_close_pair(red_packed, blue_packed, k)
-    draws += [sample_hamming_poly(spec, rng) for _ in range(rounds - 1)]
+    draws = [sample_hamming_poly(spec, rng) for _ in range(rounds)]
+    block = block_masks(draws[0])
     coins = _coin_matrix(draws, s)
     table = _pattern_table(coins, s * s)
 
-    a_bits = _group_point_bits(red_packed, dim, s)
-    b_bits = _group_point_bits(blue_packed, dim, s)
-    sides = pack_sides(s * dim, a_bits, b_bits, blocks.shape[2])
-    n_blue = b_bits.shape[0]
-    # A tile cell's bytes: a block's uint8 value and its product's float32
+    nr, nb = red_packed.shape[0], blue_packed.shape[0]
+    ones = np.uint64((1 << dim) - 1)
+    red_side = red_packed[:, :1] | ones << np.uint64(dim)
+    n_red, n_blue = -(-nr // s), -(-nb // s)
+    cols = (blue_packed[:, :1] << np.uint64(dim) | ones)[_block_major(nb, s, 0, n_blue)]
+    # A tile cell's bytes: its s^2 member values with the product's float32
     # and int32 temporaries, the pattern with its lookup or unique
     # temporaries, and a flag with its argwhere indices.
-    rows = max(1, DISTANCE_BUDGET_BYTES // ((56 + 3 * coins.shape[2]) * n_blue))
+    rows = max(1, DISTANCE_BUDGET_BYTES // ((9 * s * s + 47 + 3 * coins.shape[2]) * n_blue))
     best = None
-    for g0 in range(0, a_bits.shape[0], rows):
-        tile_sides = (sides[0][g0 : g0 + rows], sides[1])
-        pattern = _block_pattern(blocks, tile_sides, cfg.monomial_budget)
+    for g0 in range(0, n_red, rows):
+        groups = min(rows, n_red - g0)
+        vals = eval_sides(block, (red_side[_block_major(nr, s, g0, groups)], cols))
+        pattern = _block_pattern(vals.reshape(s, groups, s, n_blue))
         pairs = np.argwhere(_pattern_flags(pattern, coins, table))
         pairs[:, 0] += g0
         best = _best_flagged(red_packed, blue_packed, s, k, pairs, best)
@@ -441,11 +443,12 @@ def bichromatic_close_pair(
     if not ds.red or not ds.blue:
         return None
     s, engaged, _ = _plan(ds.dim, cfg)
+    red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
     if engaged:
         rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
-        res = _poly_close_pair(ds.red, ds.blue, ds.dim, k, s, rounds, cfg, rng)
+        res = _poly_close_pair(red, blue, ds.dim, k, s, rounds, rng)
     else:
-        res = _brute_close_pair(pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim), k)
+        res = _brute_close_pair(red, blue, k)
     if res is None:
         return None
     return res[0], res[1]
@@ -471,12 +474,13 @@ def closest_pair(
     if not engaged:
         return closest_pair_bruteforce(ds)
     rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
+    red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
     hi = hamming_distance(ds.red[0], ds.blue[0])
     best = (0, 0, hi)
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        res = _poly_close_pair(ds.red, ds.blue, ds.dim, mid, s, rounds, cfg, rng)
+        res = _poly_close_pair(red, blue, ds.dim, mid, s, rounds, rng)
         if res is not None:
             best = res
             hi = res[2]
@@ -512,14 +516,12 @@ def batch_nn(
     nd, nq = len(db), len(queries)
     n = max(nd, nq)
     s_group = max(1, math.ceil(math.sqrt(n)))
-    n_dg = (nd + s_group - 1) // s_group
-    n_qg = (nq + s_group - 1) // s_group
     s_inner, engaged, reason = _plan(dim, cfg)
     rounds = _resolve_rounds(s_group, cfg)
     max_dist = dim
 
     meta = {
-        "mode": "poly" if engaged else "bruteforce-fallback",
+        "mode": "poly" if engaged else "exact",
         "reason": reason,
         "group_size": s_group,
         "inner_group_size": s_inner if engaged else None,
@@ -540,50 +542,34 @@ def batch_nn(
     meta["dimension_advisory_ok"] = meets_dimension_advisory(
         GroupPredicateSpec(s_inner, dim, 0)
     )
-    meta["fallback_calls"] = 0
     meta["decisions"] = 0  # calls of the close-pair oracle
+    db_packed, q_packed = pack_vectors(db, dim), pack_vectors(queries, dim)
     table = [max_dist] * nq
     witness = [-1] * nq
-    db_groups = [
-        list(range(g * s_group, min(nd, (g + 1) * s_group))) for g in range(n_dg)
-    ]
-    q_groups = [
-        list(range(g * s_group, min(nq, (g + 1) * s_group))) for g in range(n_qg)
-    ]
     for k in range(max_dist - 1, -1, -1):
         alive = [True] * nq
-        for dgi in db_groups:
-            group_vecs = [db[i] for i in dgi]
-            for qgj in q_groups:
+        for d0 in range(0, nd, s_group):
+            group = db_packed[d0 : d0 + s_group]
+            for q0 in range(0, nq, s_group):
                 while True:
-                    act = [j for j in qgj if alive[j]]
+                    act = [j for j in range(q0, min(nq, q0 + s_group)) if alive[j]]
                     if not act:
                         break
                     meta["decisions"] += 1
                     res = _poly_close_pair(
-                        group_vecs,
-                        [queries[j] for j in act],
-                        dim,
-                        k,
-                        s_inner,
-                        rounds,
-                        cfg,
-                        rng,
-                        stats=meta,
+                        group, q_packed[act], dim, k, s_inner, rounds, rng
                     )
                     if res is None:
                         break
                     li, lj, dist = res
                     j = act[lj]
                     table[j] = dist
-                    witness[j] = dgi[li]
+                    witness[j] = d0 + li
                     alive[j] = False
 
     unmatched = [j for j in range(nq) if witness[j] < 0]
     if unmatched:
-        nn, dist = _nearest_rows(
-            pack_vectors(db, dim), pack_vectors([queries[j] for j in unmatched], dim)
-        )
+        nn, dist = _nearest_rows(db_packed, q_packed[unmatched])
         for j, i, d in zip(unmatched, nn.tolist(), dist.tolist()):
             witness[j] = i
             table[j] = d

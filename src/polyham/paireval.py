@@ -3,10 +3,10 @@
 A polynomial P(x, y) whose monomials each split into an x-part and a y-part
 satisfies P(a, b) = sum_m xpart_m(a) * ypart_m(b) over GF(2), so evaluating
 it on A x B is one GF(2) matrix product F_A * F_B^T between feature
-matrices (one column per monomial).  ``pack_sides`` packs A and B once, so
-several polynomials on the same inputs (the s^2 block polynomials of a
-closest-pair decision, each evaluated once per decision) share one
-packing.
+matrices (one column per monomial).  ``eval_sides`` takes packed sides
+that hold ones on the other side's variables, as ``pack_sides`` makes
+them; a closest-pair decision packs each member as one such word and
+evaluates its (R, 1) block polynomial on a tile's member pairs at once.
 
 Monomials are (m, W) uint64 word masks: variable v is bit v % 64 of word
 v // 64, the layout of ``vectors.pack_rows``.  The product is a float32
@@ -96,22 +96,15 @@ def _features(points: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.equal(missing, 0, out=np.empty(missing.shape, dtype=np.float32))
 
 
-def eval_sides(
-    masks: np.ndarray,
-    sides: tuple[np.ndarray, np.ndarray],
-    budget: int = MATRIX_BUDGET_DEFAULT,
-) -> np.ndarray:
+def eval_sides(masks: np.ndarray, sides: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """All-pairs evaluation of (m, W) uint64 word masks on packed sides.
 
-    ``sides`` is the output of :func:`pack_sides` for W words.  Returns
-    uint8 out[i, j] = P(a_i, b_j) over GF(2).  Raises ResourceBudgetError
-    when the monomial count m exceeds the budget.
+    ``sides`` are W-word points in the form of :func:`pack_sides`.  Returns
+    uint8 out[i, j] = P(a_i, b_j) over GF(2).  The columns are taken in
+    chunks whose features fit the byte budget, so any m runs; the caller
+    bounds m.
     """
     m, words = masks.shape
-    if m > budget:
-        raise ResourceBudgetError(
-            "too many monomials for the matrix pipeline", projected=m, budget=budget
-        )
     a, b = sides
     if a.shape[1] != words or b.shape[1] != words:
         raise DimensionMismatchError(
@@ -141,8 +134,11 @@ def eval_all_pairs_masks(
     uint8 out[i, j] = P(a_i, b_j) over GF(2).  Raises ResourceBudgetError
     when the monomial count m exceeds the budget.
     """
-    sides = pack_sides(x_width, a_bits, b_bits, masks.shape[1])
-    return eval_sides(masks, sides, budget)
+    if len(masks) > budget:
+        raise ResourceBudgetError(
+            "too many monomials for the matrix pipeline", projected=len(masks), budget=budget
+        )
+    return eval_sides(masks, pack_sides(x_width, a_bits, b_bits, masks.shape[1]))
 
 
 def eval_all_pairs(

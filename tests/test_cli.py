@@ -97,7 +97,7 @@ def test_batch_nn_output(tmp_path, capsys):
     assert len(records) == 17  # 16 query rows + meta
     meta = records[-1]["meta"]
     assert meta["oracle_distance_matches"] == meta["oracle_total"] == 16
-    assert meta["mode"] == "bruteforce-fallback" and "exact scan" in meta["reason"]
+    assert meta["mode"] == "exact" and "exact scan" in meta["reason"]
 
 
 def test_l1_batch_nn_cli(tmp_path, capsys):
@@ -224,10 +224,10 @@ def test_bench_csv_shape(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,d,mode,seconds,dist,agree"
+    assert lines[0] == "n,d,mode,path,seconds,dist,agree"
     assert len(lines) == 1 + 2 * 1 * 2  # sizes x dims x modes
     for line in lines[1:]:
-        assert line.split(",")[5] == "true"
+        assert line.split(",")[6] == "true"
 
 
 def test_bench_poly_rows_run_the_pipeline(capsys, monkeypatch):
@@ -243,6 +243,13 @@ def test_bench_poly_rows_run_the_pipeline(capsys, monkeypatch):
     assert code == 0 and not decisions
     code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--dims", "4", "--mode", "poly")
     assert code == 0 and decisions
+    # the path column says which path ran: s = 2 is not admitted at d = 16
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--dims", "4,16", "--mode", "poly")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert code == 0 and [(r[1], r[2], r[3]) for r in rows] == [
+        ("4", "poly", "poly"),
+        ("16", "poly", "exact"),
+    ]
 
 
 def test_pretty_output(tmp_path, capsys):

@@ -9,7 +9,8 @@ from polyham.hammingpoly import (
     GroupPredicateSpec,
     SampledHammingPolynomial,
     _exact_inner_blocks,
-    _inner_blocks,
+    _inner_masks,
+    _member_block,
     block_masks,
     block_rows,
     eval_group_pair,
@@ -22,7 +23,13 @@ from polyham.hammingpoly import (
     meets_dimension_advisory,
     sample_hamming_poly,
 )
-from polyham.neighbors import _block_pattern, _coin_matrix, _pattern_flags, _pattern_table
+from polyham.neighbors import (
+    _block_major,
+    _block_pattern,
+    _coin_matrix,
+    _pattern_flags,
+    _pattern_table,
+)
 from polyham.paireval import eval_all_pairs_masks, eval_sides, pack_sides
 from polyham.vectors import BitVector, concat
 
@@ -322,10 +329,17 @@ def test_factor_vote_equals_expanded_vote(s, d, k, n_random):
         np.testing.assert_array_equal(1 ^ (e1 & e2), want)
 
 
-def table_votes(blocks, sides, draws, s):
-    """The pipeline's majority vote of ``draws`` on every cell of ``sides``."""
+def table_votes(a_bits, b_bits, draws, s):
+    """The pipeline's majority vote of ``draws`` on every (a row, b row)
+    cell, each row a group of s members' d coordinates: one product of the
+    block polynomial on block-major member pairs, read by index."""
+    d = draws[0].spec.d
+    na, nb = len(a_bits), len(b_bits)
+    red = a_bits.reshape(na * s, d)[_block_major(na * s, s, 0, na)]
+    blue = b_bits.reshape(nb * s, d)[_block_major(nb * s, s, 0, nb)]
+    vals = eval_sides(block_masks(draws[0]), pack_sides(d, red, blue, 1))
     coins = _coin_matrix(draws, s)
-    pattern = _block_pattern(blocks, sides, 10**6)
+    pattern = _block_pattern(vals.reshape(s, na, s, nb))
     return _pattern_flags(pattern, coins, _pattern_table(coins, s * s)).astype(np.uint8)
 
 
@@ -350,19 +364,19 @@ def test_block_votes_equal_factor_votes(s, d, k, n_random):
     b_bits = rng.integers(0, 2, size=(29, s * d)).astype(np.uint8)
     sides = pack_sides(s * d, a_bits, b_bits, (spec.nvars + 63) // 64)
     draws = draws_with_edge_subsets(spec, rng, n_random)
-    blocks = block_masks(draws[0])
-    assert blocks.shape[0] == s * s
+    block = block_masks(draws[0])
+    assert block.shape == (_exact_inner_blocks(spec).shape[1], 1)
     votes = []
     for hp in draws:
-        assert block_masks(hp) is blocks  # exact inner circuit: shared blocks
+        assert block_masks(hp) is block  # exact inner circuit: one shared block
         e1, e2 = (eval_sides(factor, sides) for factor in factor_masks(hp))
         want = 1 ^ (e1 & e2)
-        np.testing.assert_array_equal(table_votes(blocks, sides, [hp], s), want)
+        np.testing.assert_array_equal(table_votes(a_bits, b_bits, [hp], s), want)
         votes.append(want)
     # two draws tie on many cells, and a tie is not a majority
     for m in (2, 3, len(draws)):
         majority = (2 * np.sum(votes[:m], axis=0) > m).astype(np.uint8)
-        np.testing.assert_array_equal(table_votes(blocks, sides, draws[:m], s), majority)
+        np.testing.assert_array_equal(table_votes(a_bits, b_bits, draws[:m], s), majority)
 
 
 def test_factor_budget_counts_rows():
@@ -401,7 +415,6 @@ def test_group_matrix_equals_distance_formula(s, d, k):
     close = member_distances(red, blue, s) <= k
     words = (spec.nvars + 63) // 64
     sides = pack_sides(s * d, red.reshape(groups, -1), blue.reshape(groups, -1), words)
-    blocks = _exact_inner_blocks(spec)
     for _ in range(30):
         hp = sample_hamming_poly(spec, rng)
         assert hp.inner.kind == "exact_base"
@@ -414,27 +427,39 @@ def test_group_matrix_equals_distance_formula(s, d, k):
         got = 1 ^ (eval_sides(f1, sides) & eval_sides(f2, sides))
         np.testing.assert_array_equal(got, want)
         # the pipeline's vote: the draw's table read at each cell's pattern
-        np.testing.assert_array_equal(table_votes(blocks, sides, [hp], s), want)
+        np.testing.assert_array_equal(
+            table_votes(red.reshape(groups, -1), blue.reshape(groups, -1), [hp], s), want
+        )
 
 
 def test_block_masks_refuses_a_sampled_inner_circuit():
     # from d = 2,331 at s = 1 the inner threshold is sampled: its blocks
-    # would differ per draw, so the pipeline refuses them and falls back
+    # would differ per draw, so block_masks refuses them (the plan admits
+    # no d > 32, so no decision asks)
     spec = GroupPredicateSpec(1, 2400, 1)
     hp = sample_hamming_poly(spec, np.random.default_rng(3))
     assert hp.inner.kind == "recursive"
     with pytest.raises(ResourceBudgetError, match="sampled"):
-        block_masks(hp, budget=10**9)
+        block_masks(hp)
 
 
-def test_block_masks_budget_counts_rows():
-    spec = GroupPredicateSpec(2, 4, 1)
-    hp = sample_hamming_poly(spec, np.random.default_rng(4))
-    rows = _exact_inner_blocks(spec).shape[1]
-    assert block_masks(hp, budget=rows) is _exact_inner_blocks(spec)
-    with pytest.raises(ResourceBudgetError) as exc:
-        block_masks(hp, budget=rows - 1)
-    assert exc.value.projected == rows
+def test_block_masks_is_one_member_block():
+    # every group size shares the (d, k) block p(x xor y) on 2d bits, and
+    # factor_masks places it at x-block i and y-block j for pair (i, j)
+    d, k = 4, 1
+    block = _member_block(d, k)
+    assert block.shape == (_exact_inner_blocks(GroupPredicateSpec(1, d, k)).shape[1], 1)
+    assert not block.flags.writeable and not (block >> np.uint64(2 * d)).any()
+    x, y = block[:, 0] & np.uint64((1 << d) - 1), block[:, 0] >> np.uint64(d)
+    for s in (1, 2, 3):
+        spec = GroupPredicateSpec(s, d, k)
+        assert block_masks(sample_hamming_poly(spec, np.random.default_rng(4))) is block
+        placed = _exact_inner_blocks(spec)
+        assert placed.shape == (s * s, len(block), 1)
+        for i in range(s):
+            for j in range(s):
+                want = x << np.uint64(i * d) | y << np.uint64((s + j) * d)
+                np.testing.assert_array_equal(placed[i * s + j, :, 0], want)
 
 
 # First draws at rng seed 7, recorded before the per-spec draw parts were
@@ -486,9 +511,10 @@ def test_exact_inner_blocks_shared_across_draws():
     blocks = _exact_inner_blocks(spec)
     assert blocks is _exact_inner_blocks(spec) and not blocks.flags.writeable
     for hp in draws:
-        np.testing.assert_array_equal(blocks, _inner_blocks(hp.inner, spec, 10**6))
+        np.testing.assert_array_equal(block_masks(hp), _inner_masks(hp.inner, 10**6))
     masks = [expand_hamming_masks(hp) for hp in draws]
     _exact_inner_blocks.cache_clear()
+    _member_block.cache_clear()
     again = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
     for want, hp in zip(masks, again):
         np.testing.assert_array_equal(expand_hamming_masks(hp), want)
@@ -527,6 +553,7 @@ def test_exact_inner_blocks_memory_is_near_the_output(s, d):
 
     spec = GroupPredicateSpec(s, d, 0)
     _exact_inner_blocks.cache_clear()
+    _member_block.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -535,17 +562,26 @@ def test_exact_inner_blocks_memory_is_near_the_output(s, d):
     finally:
         tracemalloc.stop()
         _exact_inner_blocks.cache_clear()
+        _member_block.cache_clear()
     assert blocks.shape[:2] == (s * s, 3**d - 1)
     assert peak <= 3 * blocks.nbytes
 
 
-def test_block_masks_need_one_word_per_row_part():
-    from polyham.hammingpoly import _substituted_block_masks
-    from polyham.polyalg import Gf2Polynomial
+def test_block_masks_need_one_word_per_row_part(monkeypatch):
+    # at d = 33 a block row of 2d bits does not fit one word: refused
+    # before the 2^33 monomials of the inner threshold are expanded
+    import polyham.hammingpoly as hammingpoly
 
-    spec = GroupPredicateSpec(1, 33, 0)
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded the inner circuit")
+
+    monkeypatch.setattr(hammingpoly, "expand_circuit", refuse)
+    hp = sample_hamming_poly(GroupPredicateSpec(1, 33, 0), np.random.default_rng(5))
+    assert hp.inner.kind == "exact_base"
     with pytest.raises(ResourceBudgetError, match="64-bit"):
-        _substituted_block_masks(Gf2Polynomial(33, [(0,)]), spec)
+        _inner_masks(hp.inner, 1 << 33)
+    with pytest.raises(ResourceBudgetError, match="64-bit"):
+        block_masks(hp)
 
 
 def test_dimension_advisory():

@@ -5,7 +5,6 @@ from polyham.errors import EmptyInputError, InvalidParametersError
 from polyham.neighbors import (
     MONOMIAL_BUDGET_DEFAULT,
     ClosestPairConfig,
-    _group_point_bits,
     _nearest_rows,
     _plan,
     batch_nn,
@@ -229,7 +228,7 @@ def test_defaults_scan_exactly(monkeypatch):
     assert closest_pair(ds) == want and len(brute) == 1
     assert bichromatic_close_pair(ds, want[2]) == want[:2] and len(brute) == 2
     res = batch_nn(list(ds.red), list(ds.blue))
-    assert res.meta["mode"] == "bruteforce-fallback"
+    assert res.meta["mode"] == "exact"
     assert res.meta["reason"] == pipeline_info(64, 5, ClosestPairConfig())["reason"]
     assert res.entries == batch_nn_bruteforce(list(ds.red), list(ds.blue)).entries
     for d in range(1, 7):
@@ -409,16 +408,43 @@ def test_group_padding_never_changes_the_answer():
         assert got[2] == closest_pair_bruteforce(ds)[2]
 
 
-def test_group_point_bits_concatenate_member_coordinates():
-    # verification hides wrong group rows (they only flag more pairs), so
-    # the rows are checked directly: members' coordinates, last one repeated
+def test_member_pattern_bits_are_member_predicates(monkeypatch):
+    # verification hides a wrong pattern (it only flags more pairs), so the
+    # patterns a decision votes on are checked directly: bit i*s + j of cell
+    # (g, h) is [D >= k + 1] between red member min(g*s + i, n - 1) and blue
+    # member min(h*s + j, m - 1), from 0/1 coordinates and no GF(2) code.
+    # Sides are ragged, and a 200-byte budget puts one red group per tile.
+    import polyham.neighbors as neighbors
+    from polyham.neighbors import _poly_close_pair
+
     rng = np.random.default_rng(8)
-    for d, n, s in [(5, 7, 2), (70, 5, 3), (64, 4, 4)]:
-        vecs = [BitVector.random(rng, d) for _ in range(n)]
-        rows = _group_point_bits(pack_vectors(vecs, d), d, s)
-        for g, row in enumerate(rows):
-            members = [vecs[min(g * s + t, n - 1)] for t in range(s)]
-            assert "".join(map(str, row)) == "".join(v.to_string() for v in members)
+    real = neighbors._pattern_flags
+    cases = [(s, d, 2 * s + 1, 3 * s - 1, None) for s, d in ((1, 6), (2, 5), (3, 4), (17, 2))]
+    cases += [(s, d, 4 * s + 3, 2 * s + 1, 200) for s, d, *_ in cases]
+    for s, d, n, m, budget in cases:
+        red = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
+        blue = rng.integers(0, 2, size=(m, d)).astype(np.uint8)
+        dist = (red[:, None, :] != blue[None, :, :]).sum(axis=2)
+        ri = np.minimum(np.arange(-(-n // s))[:, None] * s + np.arange(s), n - 1)
+        bj = np.minimum(np.arange(-(-m // s))[:, None] * s + np.arange(s), m - 1)
+        member = dist[ri[:, None, :, None], bj[None, :, None, :]]  # (g, h, i, j)
+        packed = [
+            pack_vectors([BitVector.from_string("".join(map(str, row))) for row in side], d)
+            for side in (red, blue)
+        ]
+        for k in range(d):
+            patterns = []
+            with monkeypatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(neighbors, "DISTANCE_BUDGET_BYTES", budget)
+                mp.setattr(neighbors, "_pattern_flags",
+                           lambda p, *a: patterns.append(p) or real(p, *a))
+                _poly_close_pair(*packed, d, k, s, 3, np.random.default_rng(k))
+            assert len(patterns) == (1 if budget is None else len(ri))
+            bits = np.unpackbits(np.concatenate(patterns), axis=2, bitorder="little")
+            want = (member >= k + 1).reshape(len(ri), len(bj), s * s)
+            np.testing.assert_array_equal(bits[..., : s * s], want)
+            assert not bits[..., s * s :].any()
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +479,7 @@ def test_batch_nn_fallback_equals_oracle():
         queries = [BitVector.random(rng, d) for _ in range(n - 5)]
         res = batch_nn(db, queries, BRUTE_CFG, np.random.default_rng(0))
         assert res.entries == batch_nn_bruteforce(db, queries).entries
-        assert res.meta["mode"] == "bruteforce-fallback"
+        assert res.meta["mode"] == "exact"
 
 
 def test_batch_nn_distance_at_dim_gets_witness():
@@ -596,7 +622,7 @@ def test_pipeline_never_expands_the_product(monkeypatch):
     assert closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
     db, queries = list(ds.red[:12]), list(ds.blue[:12])
     res = batch_nn(db, queries, ENGAGED_S2_CFG, np.random.default_rng(2))
-    assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] == 0
+    assert res.meta["mode"] == "poly"
     assert res.entries == batch_nn_bruteforce(db, queries).entries
     assert calls
 
@@ -615,37 +641,99 @@ def test_pipeline_draws_rounds_polynomials_per_decision(monkeypatch):
 
 
 def test_block_polynomials_evaluated_once_per_decision(monkeypatch):
-    # an exact inner circuit has the same s^2 blocks on every draw: one
-    # product per block per decision, not one per factor per draw
+    # an exact inner circuit gives every draw the same block polynomial,
+    # and every block pair is that polynomial on member pairs: one product
+    # per decision tile, not one per block or per factor per draw
     import polyham.neighbors as neighbors
 
     decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
     products = spy(monkeypatch, neighbors, "eval_sides")
     ds = random_dataset(np.random.default_rng(22), 20, 4)
     assert closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1)) == closest_pair_bruteforce(ds)
-    assert decisions and len(products) == 2 * 2 * len(decisions)
+    assert decisions and len(products) == len(decisions)
+
+
+def test_plan_refuses_what_the_blocks_cannot_build(monkeypatch):
+    # a budget that fits the block rows does not engage where the block
+    # cannot be built: at d = 33 a row of 2d bits does not fit one word.
+    # The plan says why, and closest pair scans exactly without a draw.
+    import polyham.neighbors as neighbors
+
+    d = 33
+    cfg = ClosestPairConfig(s=1, rounds=9, monomial_budget=3**d)
+    s, engaged, reason = _plan(d, cfg)
+    assert (s, engaged) == (1, False)
+    assert reason.endswith(f"block rows <= budget {3**d}; 2d = {2 * d} bits do not fit "
+                           "a 64-bit block row")
+    assert pipeline_info(6, d, cfg)["reason"] == reason
+    ds = random_dataset(np.random.default_rng(25), 6, d)
+    want = closest_pair_bruteforce(ds)
+    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    assert closest_pair(ds, cfg, np.random.default_rng(4)) == want
+    assert brute and not draws
+    # d = 32 still engages with a budget that fits
+    assert _plan(32, ClosestPairConfig(s=1, monomial_budget=3**32))[:2] == (1, True)
 
 
 def test_budget_fallback_still_fires(monkeypatch):
-    # the planner admits the size, but every block has more rows than the
-    # budget: each decision falls back to brute force and says so
+    # one row short of the s^2 block rows, the plan falls back to the exact
+    # scan before any draw, and closest pair and batch NN both say so
     import polyham.neighbors as neighbors
-    from polyham.hammingpoly import GroupPredicateSpec, _exact_inner_blocks
+    from polyham.hammingpoly import block_rows
 
     d = 4
-    rows = min(_exact_inner_blocks(GroupPredicateSpec(2, d, k)).shape[1] for k in range(d))
-    monkeypatch.setattr(neighbors, "block_rows", lambda s, d: 0)
-    cfg = ClosestPairConfig(s=2, rounds=9, monomial_budget=rows - 1)
-    assert _plan(d, cfg)[:2] == (2, True)
+    cfg = ClosestPairConfig(s=2, rounds=9, monomial_budget=block_rows(2, d) - 1)
+    s, engaged, reason = _plan(d, cfg)
+    assert (s, engaged) == (2, False)
+    assert f"block rows > budget {block_rows(2, d) - 1}" in reason
+    assert _plan(d, ClosestPairConfig(s=2, monomial_budget=block_rows(2, d)))[:2] == (2, True)
     ds = random_dataset(np.random.default_rng(23), 20, d)
     want = closest_pair_bruteforce(ds)
-    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
     assert closest_pair(ds, cfg, np.random.default_rng(1)) == want
-    assert brute
     db, queries = list(ds.red[:12]), list(ds.blue[:12])
     res = batch_nn(db, queries, cfg, np.random.default_rng(2))
-    assert res.meta["mode"] == "poly" and res.meta["fallback_calls"] > 0
+    assert res.meta["mode"] == "exact" and res.meta["reason"] == reason
+    assert res.meta["decisions"] == 0
     assert res.entries == batch_nn_bruteforce(db, queries).entries
+    assert not draws and not decisions
+
+
+def test_sampled_inner_draw_falls_back_and_counts(monkeypatch):
+    # at d = 2,400 the inner threshold is sampled and 2d bits do not fit a
+    # block row: even a budget past the block rows falls back to the exact
+    # scan without a draw, and batch NN counts no decisions
+    import polyham.neighbors as neighbors
+
+    d = 2400
+    cfg = ClosestPairConfig(s=1, rounds=9, monomial_budget=3**d)
+    s, engaged, reason = _plan(d, cfg)
+    assert (s, engaged) == (1, False)
+    assert reason.endswith(f"2d = {2 * d} bits do not fit a 64-bit block row")
+    ds = random_dataset(np.random.default_rng(25), 6, d)
+    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
+    assert closest_pair(ds, cfg, np.random.default_rng(4)) == closest_pair_bruteforce(ds)
+    assert brute and not draws
+    db, queries = list(ds.red), list(ds.blue)
+    res = batch_nn(db, queries, cfg, np.random.default_rng(5))
+    assert res.meta["mode"] == "exact" and res.meta["decisions"] == 0
+    assert res.meta["unmatched_scans"] == 0
+    assert res.entries == batch_nn_bruteforce(db, queries).entries
+    assert not draws
+
+
+def test_admitted_block_past_the_matrix_default_runs():
+    # the plan is the one admission rule: at d = 13 the block has
+    # 3^13 - 1 rows, past paireval's default monomial budget, and a config
+    # whose budget admits it runs the decision
+    d = 13
+    cfg = ClosestPairConfig(s=1, rounds=3, monomial_budget=3**d)
+    assert _plan(d, cfg)[:2] == (1, True)
+    ds = even_odd_dataset(np.random.default_rng(29), 5, d)
+    assert bichromatic_close_pair(ds, 0, cfg, np.random.default_rng(1)) is None
 
 
 def test_batch_nn_reports_decisions(monkeypatch):
@@ -658,25 +746,6 @@ def test_batch_nn_reports_decisions(monkeypatch):
     assert res.meta["decisions"] == len(decisions) > 0
     res = batch_nn(list(ds.red), list(ds.blue), BRUTE_CFG)
     assert res.meta["decisions"] == 0
-
-
-def test_sampled_inner_draw_falls_back_and_counts(monkeypatch):
-    # at d = 2,400 the inner threshold is sampled: block_masks refuses the
-    # first draw, and the decision answers by brute force after that draw
-    import polyham.neighbors as neighbors
-    from polyham.neighbors import _poly_close_pair
-
-    d = 2400
-    ds = random_dataset(np.random.default_rng(25), 6, d)
-    draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
-    brute = spy(monkeypatch, neighbors, "_brute_close_pair")
-    stats = {}
-    k = closest_pair_bruteforce(ds)[2]
-    got = _poly_close_pair(
-        ds.red, ds.blue, d, k, 1, 9, ENGAGED_CFG, np.random.default_rng(4), stats
-    )
-    assert got == closest_pair_bruteforce(ds)
-    assert stats == {"fallback_calls": 1} and len(draws) == 1 and brute
 
 
 def test_red_tiles_give_the_same_pair(monkeypatch):
@@ -694,15 +763,18 @@ def test_red_tiles_give_the_same_pair(monkeypatch):
                      for _ in range(33))
         red = [ones] * 40
         red[37] = BitVector(d, blue[20].bits ^ (1 << int(rng.integers(d))))
-        cfg = ClosestPairConfig(s=s, rounds=9, monomial_budget=10**7)
+        packed = pack_vectors(red, d), pack_vectors(blue, d)
         for k in range(2):
-            args = (red, blue, d, k, s, 9, cfg)
-            one_tile = _poly_close_pair(*args, np.random.default_rng(k))
+            args = (*packed, d, k, s, 9)
+            with monkeypatch.context() as m:
+                products = spy(m, neighbors, "eval_sides")
+                one_tile = _poly_close_pair(*args, np.random.default_rng(k))
+            assert len(products) == 1
             with monkeypatch.context() as m:
                 m.setattr(neighbors, "DISTANCE_BUDGET_BYTES", 200)
                 products = spy(m, neighbors, "eval_sides")
                 tiled = _poly_close_pair(*args, np.random.default_rng(k))
-            assert len(products) == s * s * -(-len(red) // s)
+            assert len(products) == -(-len(red) // s)  # one product per tile
             assert tiled == one_tile
             if k == 1:
                 assert one_tile[0] == 37 and one_tile[2] <= 1
@@ -720,9 +792,9 @@ def test_decision_memory_is_bounded_by_the_budget(s, n, k):
 
     d = 4
     ds = random_dataset(np.random.default_rng(27), n, d)
-    cfg = ClosestPairConfig(s=s, rounds=9)
-    args = (ds.red, ds.blue, d, k, s, 9, cfg)
-    _poly_close_pair(ds.red[:8], ds.blue[:8], d, k, s, 9, cfg, np.random.default_rng(0))
+    red, blue = pack_vectors(ds.red, d), pack_vectors(ds.blue, d)
+    args = (red, blue, d, k, s, 9)
+    _poly_close_pair(red[:8], blue[:8], d, k, s, 9, np.random.default_rng(0))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
