@@ -13,20 +13,18 @@ certainty when no pair is close, and 1 with probability exactly 3/4 over
 
 The polynomial lives on 2*s*d variables: the s x-blocks first, then the s
 y-blocks.  ``eval_group_pair`` evaluates it structurally (no expansion).
-Every block P_ij = p(x_i xor y_j) is the one polynomial p(x xor y) on 2*d
-variables, applied to member i of one group and member j of the other;
-``block_masks`` gives it as (R, 1) uint64 word masks, the form the
-all-pairs matrix pipeline consumes.  Evaluation over GF(2) respects sums
-and products, so on a pair of groups whose blocks take the values b_ij,
-factor r evaluates to E_r = (1 + |R_r|) + sum_{R_r} b_ij and q to
-1 + E_1*E_2: a draw's vote depends only on the s^2-bit pattern b.  p is
-exact at every size the pipeline reaches, so every draw for (d, k) shares
-the same block; the pipeline evaluates it once per decision on all member
-pairs and reads the votes of all its draws from one table indexed by the
-pattern.  ``factor_masks`` places the block at every (i, j) of the 2*s*d
-variables and gives the two factors as explicit polynomials, and
-``expand_hamming_masks`` multiplies them out into q's own monomials; both
-are views for tests and debugging.
+p is exact at every size the pipeline reaches, so a draw is its coins: the
+2*s^2 bits saying which index pairs R_1 and R_2 hold, and ``draw_coins``
+draws those of any number of draws in one call.  Every block P_ij =
+p(x_i xor y_j) is then the one polynomial p(x xor y) on 2*d variables,
+applied to member i of one group and member j of the other;
+``block_masks`` gives it as (R, 1) uint64 word masks for the all-pairs
+product on member pairs.  Over GF(2), on groups whose blocks take the
+values b_ij, factor r is E_r = (1 + |R_r|) + sum_{R_r} b_ij and q is
+1 + E_1*E_2: a draw's vote depends only on the s^2-bit pattern b.
+``factor_masks`` places the block at every (i, j) and gives the two factors
+as explicit polynomials, and ``expand_hamming_masks`` multiplies them out
+into q's own monomials; both are views for tests and debugging.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ __all__ = [
     "SampledHammingPolynomial",
     "inner_error_budget",
     "sample_hamming_poly",
+    "draw_coins",
     "block_masks",
     "factor_masks",
     "expand_hamming_poly",
@@ -115,56 +114,63 @@ def meets_dimension_advisory(spec: GroupPredicateSpec) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _draw_parts(
-    spec: GroupPredicateSpec,
-) -> tuple[ThresholdSpec, CircuitPlan, tuple[tuple[int, int], ...]]:
+def _draw_parts(spec: GroupPredicateSpec) -> tuple[ThresholdSpec, CircuitPlan]:
     """What every draw for ``spec`` shares: the inner threshold [weight >=
-    k+1] on d variables with error budget 1/s^3, its compiled plan, and the
-    s^2 index pairs in block order.
-
-    Memoised: building and hashing the threshold's Fractions dominated a
-    small draw.
-    """
+    k+1] on d variables with error budget 1/s^3, and its compiled plan;
+    memoised, since building and hashing its Fractions dominated a draw."""
     inner = ThresholdSpec(spec.d, Fraction(spec.k + 1, spec.d), inner_error_budget(spec.s))
-    pairs = tuple((i, j) for i in range(spec.s) for j in range(spec.s))
-    return inner, _compile(inner, inner.eps), pairs
+    return inner, _compile(inner, inner.eps)
 
 
 class SampledHammingPolynomial:
-    """One draw: the inner threshold circuit plus the index-pair subsets."""
+    """One draw: the inner threshold circuit plus its coins, a read-only
+    (2, s*s) uint8 0/1 array whose bit i*s + j of row r says whether R_{r+1}
+    holds the index pair (i, j)."""
 
-    __slots__ = ("spec", "eps", "inner", "r1", "r2", "expanded_masks")
+    __slots__ = ("spec", "eps", "inner", "coins")
 
-    def __init__(self, spec, eps, inner, r1, r2):
+    def __init__(self, spec, eps, inner, coins):
         self.spec = spec
         self.eps = eps
         self.inner = inner
-        self.r1 = r1
-        self.r2 = r2
-        self.expanded_masks: np.ndarray | None = None
+        self.coins = np.array(coins, dtype=np.uint8).reshape(2, spec.s * spec.s)
+        self.coins.setflags(write=False)
+
+    def _subset(self, r: int) -> frozenset:
+        return frozenset(divmod(int(b), self.spec.s) for b in np.flatnonzero(self.coins[r]))
+
+    @property
+    def r1(self) -> frozenset:
+        """R_1 as a set of index pairs (i, j)."""
+        return self._subset(0)
+
+    @property
+    def r2(self) -> frozenset:
+        """R_2 as a set of index pairs (i, j)."""
+        return self._subset(1)
 
     def __repr__(self) -> str:
-        return (
-            f"SampledHammingPolynomial(s={self.spec.s}, d={self.spec.d}, "
-            f"k={self.spec.k}, |R1|={len(self.r1)}, |R2|={len(self.r2)})"
-        )
+        s, d, k = self.spec.s, self.spec.d, self.spec.k
+        return f"SampledHammingPolynomial(s={s}, d={d}, k={k}, coins={self.coins.tolist()})"
+
+
+def draw_coins(spec: GroupPredicateSpec, rng: np.random.Generator, rounds: int) -> np.ndarray:
+    """(rounds, 2, s*s) uint8: the coins of ``rounds`` draws, each index pair
+    in R_1 and in R_2 by an independent fair coin.  Every coin is drawn
+    here, so one call for many draws reads the stream of one call per draw;
+    the draw stays int64, because another dtype draws another stream."""
+    return rng.integers(0, 2, size=(rounds, 2, spec.s * spec.s)).astype(np.uint8)
 
 
 def sample_hamming_poly(
     spec: GroupPredicateSpec, rng: np.random.Generator
 ) -> SampledHammingPolynomial:
-    """Sample the inner threshold circuit and the two uniform subsets.
-
-    Each element of [s]^2 enters R_1 and R_2 by an independent fair coin;
-    empty subsets are legal draws.
-    """
-    inner_spec, plan, pairs = _draw_parts(spec)
+    """Sample the inner threshold circuit, then the coins of R_1 and R_2; an
+    exact inner circuit draws nothing, so the draw is its coins."""
+    inner_spec, plan = _draw_parts(spec)
     # sample_threshold's draw, with the plan looked up once per spec
     inner = SampledThresholdCircuit(inner_spec, plan, _draw_skeleton(plan.sizes, rng))
-    coins = rng.integers(0, 2, size=2 * len(pairs)).tolist()
-    r1 = frozenset(p for p, c in zip(pairs, coins) if c)
-    r2 = frozenset(p for p, c in zip(pairs, coins[len(pairs):]) if c)
-    return SampledHammingPolynomial(spec, inner_spec.eps, inner, r1, r2)
+    return SampledHammingPolynomial(spec, inner_spec.eps, inner, draw_coins(spec, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +388,14 @@ def factor_masks(
     count) if a factor has more rows than the budget; budgets count
     monomials, not words.
     """
-    spec = hp.spec
     block_masks(hp)  # refuses a sampled inner circuit
-    blocks = _exact_inner_blocks(spec)
+    blocks = _exact_inner_blocks(hp.spec)
     words = blocks.shape[2]
     factors = []
-    for subset in (hp.r1, hp.r2) if hp.r1 != hp.r2 else (hp.r1,):
+    for coins in hp.coins if (hp.coins[0] != hp.coins[1]).any() else hp.coins[:1]:
         # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
-        const = np.zeros((1 - len(subset) % 2, words), dtype=np.uint64)
-        picked = blocks[[i * spec.s + j for i, j in subset]]
+        const = np.zeros((1 - coins.sum() % 2, words), dtype=np.uint64)
+        picked = blocks[np.flatnonzero(coins)]
         factor = _parity_unique(np.concatenate([const, picked.reshape(-1, words)]))
         if len(factor) > budget:
             raise ResourceBudgetError(
@@ -420,14 +425,11 @@ def expand_hamming_masks(
     """The product q = 1 + f1*f2 as sorted (m, W) uint64 monomial masks.
 
     The test and debugging view of the two factors of :func:`factor_masks`;
-    the matrix pipeline never forms this product.
-    The result is cached on the sampled object.  Raises ResourceBudgetError,
+    the matrix pipeline never forms this product.  Raises ResourceBudgetError,
     naming the count, if the s^2 blocks have more rows in all than the
     budget (:func:`block_rows`) or if the expansion would exceed it; budgets
     count monomials, not words.
     """
-    if hp.expanded_masks is not None:
-        return hp.expanded_masks
     rows = block_rows(hp.spec.s, hp.spec.d)
     if rows > budget:
         raise ResourceBudgetError("group polynomial blocks too large", projected=rows, budget=budget)
@@ -453,5 +455,4 @@ def expand_hamming_masks(
         raise ResourceBudgetError(
             "group polynomial expansion too large", projected=len(prod), budget=budget
         )
-    hp.expanded_masks = prod
     return prod

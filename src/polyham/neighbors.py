@@ -1,16 +1,16 @@
 """Bichromatic Hamming closest pair and batch nearest neighbors.
 
-The decision pipeline groups both sides, samples a batch of group-predicate
-polynomials, and majority-votes per group pair.  Each polynomial is
-1 + f1*f2 with factors f_r = (1 + |R_r|) + sum_{R_r} P_ij over the s^2
-block polynomials P_ij = p(x_i xor y_j).  The inner circuit p is exact at
-every size the pipeline reaches, so every block is the same polynomial on
-2d variables and a draw's vote on a group pair depends only on the s^2
-bits its blocks take there; the votes of all the decision's draws are one
-table indexed by that pattern.  The decision evaluates the one block
-polynomial on member pairs through the packed GF(2) matrix product, one
-product per tile of red groups within a byte budget, reads each group
-pair's pattern from it by index, and looks the pattern up in the table.
+The decision pipeline groups both sides and majority-votes per group pair
+over ``rounds`` draws of 1 + f1*f2, with factors f_r = (1 + |R_r|) +
+sum_{R_r} P_ij over the s^2 block polynomials P_ij = p(x_i xor y_j).  The
+inner circuit p is exact at every size the pipeline reaches, so a draw is
+its coins, which say what R_1 and R_2 hold, and every block is the same
+polynomial on 2d variables: a draw's vote on a group pair depends only on
+the s^2 bits its blocks take there.  A decision samples one polynomial,
+takes the coins of the other draws from one call, and builds one table of
+the votes indexed by that pattern.  It evaluates the block on member pairs
+through the packed GF(2) matrix product, one product per tile of red
+groups within a byte budget, and looks each group pair's pattern up.
 Flagged pairs are brute-forced.  Every positive is verified by
 recomputing the distance, so reported pairs are unconditionally sound;
 completeness is the with-high-probability side.
@@ -48,6 +48,7 @@ from .hammingpoly import (
     GroupPredicateSpec,
     block_masks,
     block_rows,
+    draw_coins,
     meets_dimension_advisory,
     sample_hamming_poly,
 )
@@ -256,31 +257,15 @@ def _block_major(n: int, s: int, g0: int, groups: int) -> np.ndarray:
     return np.minimum(np.arange(s)[:, None] + g * s, n - 1).ravel()
 
 
-def _coin_matrix(draws: Sequence, s: int) -> np.ndarray:
-    """(2, draws, width) uint8: the subsets R_1 and R_2 of each draw as
-    block patterns, index pair (i, j) at bit b % 8 of byte b // 8 for
-    b = i*s + j, width = ceil(s*s / 8)."""
-    bits = np.zeros((2, len(draws), s * s), dtype=np.uint8)
-    flat = [
-        (r * len(draws) + t) * s * s + i * s + j
-        for t, hp in enumerate(draws)
-        for r, subset in enumerate((hp.r1, hp.r2))
-        for i, j in subset
-    ]
-    bits.reshape(-1)[flat] = 1
-    return np.packbits(bits, axis=2, bitorder="little")
-
-
 def _majority(patterns: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """Whether most of a decision's draws vote 1 on each block pattern.
 
-    ``patterns`` is (u, width) uint8 in the layout of :func:`_coin_matrix`,
-    bit i*s + j the value of block (i, j); ``coins`` is :func:`_coin_matrix`
-    of the draws.  Over GF(2), factor r of draw t is E_r = (1 + |R_r|) +
-    <R_r, pattern>, the parity of the pattern's bits in R_r, and the draw's
-    vote is 1 + E_1*E_2.
+    ``patterns`` is (u, width) uint8, the value of block (i, j) at bit b % 8
+    of byte b // 8 for b = i*s + j; ``coins`` is (rounds, 2, width), the
+    draws' coins packed alike.  Over GF(2), factor r of a draw is E_r =
+    (1 + |R_r|) + <R_r, pattern>, and the draw's vote is 1 + E_1*E_2.
     """
-    rounds, width = coins.shape[1:]
+    rounds, _, width = coins.shape
     const = 1 ^ (np.bitwise_count(coins).sum(axis=2) & 1).astype(np.uint8)
     wins = np.empty(len(patterns), dtype=bool)
     # A pattern's bytes per draw: each factor's AND and its parity bytes.
@@ -288,7 +273,7 @@ def _majority(patterns: np.ndarray, coins: np.ndarray) -> np.ndarray:
     for p0 in range(0, len(patterns), step):
         chunk = patterns[p0 : p0 + step, None, :]
         e1, e2 = (
-            const[r] ^ np.bitwise_count(np.bitwise_xor.reduce(chunk & coins[r], axis=2)) & 1
+            const[:, r] ^ np.bitwise_count(np.bitwise_xor.reduce(chunk & coins[:, r], axis=2)) & 1
             for r in range(2)
         )
         wins[p0 : p0 + step] = 2 * (1 ^ (e1 & e2)).sum(axis=1) > rounds
@@ -393,9 +378,11 @@ def _poly_close_pair(
     both block-major, and each group pair's pattern is read from it.
     """
     spec = GroupPredicateSpec(s, dim, k)
-    draws = [sample_hamming_poly(spec, rng) for _ in range(rounds)]
-    block = block_masks(draws[0])
-    coins = _coin_matrix(draws, s)
+    first = sample_hamming_poly(spec, rng)
+    block = block_masks(first)
+    # an exact inner circuit draws nothing: these are the coins of `rounds` draws
+    coins = np.concatenate([first.coins[None], draw_coins(spec, rng, rounds - 1)])
+    coins = np.packbits(coins, axis=2, bitorder="little")
     table = _pattern_table(coins, s * s)
 
     nr, nb = red_packed.shape[0], blue_packed.shape[0]
@@ -466,21 +453,29 @@ def closest_pair(
     """
     if not ds.red or not ds.blue:
         raise EmptyInputError("closest pair needs both colors nonempty")
+    red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
+    start = hamming_distance(ds.red[0], ds.blue[0])
+    return _closest_pair_packed(red, blue, ds.dim, start, cfg, rng)
+
+
+def _closest_pair_packed(
+    red: np.ndarray, blue: np.ndarray, dim: int, start: int, cfg: ClosestPairConfig, rng
+) -> tuple[int, int, int]:
+    """:func:`closest_pair` on nonempty packed sides; ``start`` is the
+    distance of red 0 to blue 0, where the search starts."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if len(ds.red) == 1 and len(ds.blue) == 1:
-        return 0, 0, hamming_distance(ds.red[0], ds.blue[0])
-    s, engaged, _ = _plan(ds.dim, cfg)
+    if len(red) == 1 and len(blue) == 1:
+        return 0, 0, start
+    s, engaged, _ = _plan(dim, cfg)
     if not engaged:
-        return closest_pair_bruteforce(ds)
-    rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
-    red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
-    hi = hamming_distance(ds.red[0], ds.blue[0])
-    best = (0, 0, hi)
-    lo = 0
+        return _brute_close_pair(red, blue, dim)
+    rounds = _resolve_rounds(max(len(red), len(blue)), cfg)
+    best = (0, 0, start)
+    lo, hi = 0, start
     while lo < hi:
         mid = (lo + hi) // 2
-        res = _poly_close_pair(red, blue, ds.dim, mid, s, rounds, rng)
+        res = _poly_close_pair(red, blue, dim, mid, s, rounds, rng)
         if res is not None:
             best = res
             hi = res[2]
@@ -547,25 +542,22 @@ def batch_nn(
     table = [max_dist] * nq
     witness = [-1] * nq
     for k in range(max_dist - 1, -1, -1):
-        alive = [True] * nq
+        # each query group's unmatched queries and their rows, for the level
+        acts = [list(range(q0, min(nq, q0 + s_group))) for q0 in range(0, nq, s_group)]
+        rows = [q_packed[q0 : q0 + s_group] for q0 in range(0, nq, s_group)]
         for d0 in range(0, nd, s_group):
             group = db_packed[d0 : d0 + s_group]
-            for q0 in range(0, nq, s_group):
-                while True:
-                    act = [j for j in range(q0, min(nq, q0 + s_group)) if alive[j]]
-                    if not act:
-                        break
+            for g, act in enumerate(acts):
+                while act:
                     meta["decisions"] += 1
-                    res = _poly_close_pair(
-                        group, q_packed[act], dim, k, s_inner, rounds, rng
-                    )
+                    res = _poly_close_pair(group, rows[g], dim, k, s_inner, rounds, rng)
                     if res is None:
                         break
                     li, lj, dist = res
-                    j = act[lj]
+                    j = act.pop(lj)
                     table[j] = dist
                     witness[j] = d0 + li
-                    alive[j] = False
+                    rows[g] = q_packed[act]
 
     unmatched = [j for j in range(nq) if witness[j] < 0]
     if unmatched:

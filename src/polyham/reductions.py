@@ -28,10 +28,11 @@ from .errors import EmptyInputError, InvalidParametersError, ParseError, Verific
 from .neighbors import (
     ClosestPairConfig,
     NNResult,
+    _closest_pair_packed,
     batch_nn,
     closest_pair,
 )
-from .vectors import BitVector, Dataset, complement, hamming_distance, inner_product
+from .vectors import BitVector, Dataset, hamming_distance, inner_product, pack_vectors
 
 __all__ = [
     "IntVector",
@@ -141,9 +142,14 @@ def furthest_pair(
     cfg: ClosestPairConfig = ClosestPairConfig(),
     rng: np.random.Generator | None = None,
 ) -> tuple[int, int, int]:
-    """Maximum-distance pair: closest pair against complemented blues."""
-    flipped = Dataset(ds.dim, ds.red, tuple(complement(v) for v in ds.blue))
-    ri, bi, dist = closest_pair(flipped, cfg, rng)
+    """Maximum-distance pair: closest pair against the packed blues
+    complemented, with the witness re-checked on the vectors."""
+    if not ds.red or not ds.blue:
+        raise EmptyInputError("furthest pair needs both colors nonempty")
+    red = pack_vectors(ds.red, ds.dim)
+    flipped = pack_vectors(ds.blue, ds.dim) ^ pack_vectors([BitVector.ones(ds.dim)], ds.dim)
+    start = ds.dim - hamming_distance(ds.red[0], ds.blue[0])
+    ri, bi, dist = _closest_pair_packed(red, flipped, ds.dim, start, cfg, rng)
     true_dist = hamming_distance(ds.red[ri], ds.blue[bi])
     if true_dist != ds.dim - dist:
         raise VerificationError(

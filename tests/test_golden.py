@@ -77,3 +77,45 @@ def test_pipeline_answers_are_pinned(name):
     assert res.meta["mode"] == "poly" and res.entries == want["nn"]
     close = tuple(bichromatic_close_pair(ds, k, cfg, op_rng()) for k in (0, 1, 2))
     assert close == want["close"]
+
+
+# (s, d, reds, blues, data seed): ragged sides at every engaged group size,
+# and one default config on three words a row, which the plan scans exactly
+DIGEST_CASES = (
+    (1, 6, 23, 17, 601),
+    (2, 4, 19, 26, 602),
+    (2, 5, 9, 4, 603),
+    (3, 4, 14, 11, 604),
+    (3, 5, 7, 16, 607),
+    (5, 3, 12, 13, 605),
+    (5, 4, 26, 11, 608),
+    ("auto", 130, 21, 18, 606),
+)
+# recorded before a decision drew its coins in one call
+ANSWERS_DIGEST = "6a0434879c021adad7c7300f4f07c0b028162e5711055d28b72b68212b0e35c7"
+
+
+def test_pipeline_answer_digest():
+    import hashlib
+
+    answers = []
+    for s, d, n_red, n_blue, seed in DIGEST_CASES:
+        rng = np.random.default_rng(seed)
+        ds = Dataset(
+            d,
+            tuple(BitVector.random(rng, d) for _ in range(n_red)),
+            tuple(BitVector.random(rng, d) for _ in range(n_blue)),
+        )
+        cfg = ClosestPairConfig(s=s, rounds=7)
+        assert pipeline_info(max(n_red, n_blue), d, cfg)["engaged"] == (s != "auto")
+
+        def op_rng():
+            return np.random.default_rng(seed + 1000)
+
+        answers.append((
+            closest_pair(ds, cfg, op_rng()),
+            furthest_pair(ds, cfg, op_rng()),
+            tuple(bichromatic_close_pair(ds, k, cfg, op_rng()) for k in (0, 1, 2)),
+            batch_nn(ds.red, ds.blue, cfg, op_rng()).entries,
+        ))
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == ANSWERS_DIGEST

@@ -13,6 +13,7 @@ from polyham.hammingpoly import (
     _member_block,
     block_masks,
     block_rows,
+    draw_coins,
     eval_group_pair,
     eval_group_pair_with,
     expand_hamming_masks,
@@ -26,7 +27,6 @@ from polyham.hammingpoly import (
 from polyham.neighbors import (
     _block_major,
     _block_pattern,
-    _coin_matrix,
     _pattern_flags,
     _pattern_table,
 )
@@ -291,15 +291,10 @@ def draws_with_edge_subsets(spec, rng, n_random):
     R_1 = R_2, and R_1 = R_2 = every index pair."""
     draws = [sample_hamming_poly(spec, rng) for _ in range(n_random)]
     hp = draws[0]
-    every = frozenset((i, j) for i in range(spec.s) for j in range(spec.s))
-    for r1, r2 in [
-        (frozenset(), hp.r2),
-        (hp.r1, frozenset()),
-        (frozenset(), frozenset()),
-        (hp.r1, hp.r1),
-        (every, every),
-    ]:
-        draws.append(SampledHammingPolynomial(spec, hp.eps, hp.inner, r1, r2))
+    none, every = np.zeros(spec.s**2, dtype=np.uint8), np.ones(spec.s**2, dtype=np.uint8)
+    c1, c2 = hp.coins
+    for coins in [(none, c2), (c1, none), (none, none), (c1, c1), (every, every)]:
+        draws.append(SampledHammingPolynomial(spec, hp.eps, hp.inner, coins))
     return draws
 
 
@@ -338,7 +333,7 @@ def table_votes(a_bits, b_bits, draws, s):
     red = a_bits.reshape(na * s, d)[_block_major(na * s, s, 0, na)]
     blue = b_bits.reshape(nb * s, d)[_block_major(nb * s, s, 0, nb)]
     vals = eval_sides(block_masks(draws[0]), pack_sides(d, red, blue, 1))
-    coins = _coin_matrix(draws, s)
+    coins = np.packbits([hp.coins for hp in draws], axis=2, bitorder="little")
     pattern = _block_pattern(vals.reshape(s, na, s, nb))
     return _pattern_flags(pattern, coins, _pattern_table(coins, s * s)).astype(np.uint8)
 
@@ -382,9 +377,8 @@ def test_block_votes_equal_factor_votes(s, d, k, n_random):
 def test_factor_budget_counts_rows():
     spec = GroupPredicateSpec(2, 4, 1)
     drawn = sample_hamming_poly(spec, np.random.default_rng(18))
-    hp = SampledHammingPolynomial(
-        spec, drawn.eps, drawn.inner, frozenset({(0, 0)}), frozenset({(0, 1), (1, 1)})
-    )
+    # R_1 = {(0, 0)}, R_2 = {(0, 1), (1, 1)}
+    hp = SampledHammingPolynomial(spec, drawn.eps, drawn.inner, [[1, 0, 0, 0], [0, 1, 0, 1]])
     f1, f2 = factor_masks(hp)
     rows = len(f2)
     assert len(f1) < rows
@@ -502,6 +496,21 @@ def test_draws_pinned_at_a_fixed_seed(key):
     draws = [sample_hamming_poly(spec, rng) for _ in subsets]
     assert [(sorted(hp.r1), sorted(hp.r2)) for hp in draws] == subsets
     assert rng.integers(0, 1 << 30) == next_value
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 17])
+@pytest.mark.parametrize("rounds", [1, 2, 9, 70])
+def test_one_coin_call_is_the_stream_of_its_draws(s, rounds):
+    # an exact inner circuit draws nothing, so the coins of `rounds` draws
+    # come from one call without moving the stream
+    spec = GroupPredicateSpec(s, 4, 1)
+    rng, twin = np.random.default_rng(s * 100 + rounds), np.random.default_rng(s * 100 + rounds)
+    coins = draw_coins(spec, rng, rounds)
+    draws = [sample_hamming_poly(spec, twin) for _ in range(rounds)]
+    assert coins.shape == (rounds, 2, s * s) and coins.dtype == np.uint8
+    np.testing.assert_array_equal(coins, [hp.coins for hp in draws])
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert not draws[-1].coins.flags.writeable
 
 
 def test_exact_inner_blocks_shared_across_draws():

@@ -629,15 +629,37 @@ def test_pipeline_never_expands_the_product(monkeypatch):
 
 def test_pipeline_draws_rounds_polynomials_per_decision(monkeypatch):
     # benchmark probes and path gates count draws through this one name, so
-    # a decision must call sample_hamming_poly exactly once per round
+    # a decision calls sample_hamming_poly exactly once; the coins of its
+    # other rounds - 1 draws come from one call, and the decision must vote
+    # with the coins of `rounds` draws and leave the generator where they
+    # would leave it
     import polyham.neighbors as neighbors
+    from polyham.hammingpoly import GroupPredicateSpec, sample_hamming_poly
 
-    decisions = spy(monkeypatch, neighbors, "_poly_close_pair")
     draws = spy(monkeypatch, neighbors, "sample_hamming_poly")
+    tables = []
+    table = neighbors._pattern_table
+    monkeypatch.setattr(neighbors, "_pattern_table", lambda c, n: tables.append(c) or table(c, n))
+    decide = neighbors._poly_close_pair
+    checked = []
+
+    def twin_checked(red, blue, dim, k, s, rounds, rng):
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        spec = GroupPredicateSpec(s, dim, k)
+        want = [sample_hamming_poly(spec, twin).coins for _ in range(rounds)]
+        res = decide(red, blue, dim, k, s, rounds, rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(tables[-1], np.packbits(want, axis=2, bitorder="little"))
+        checked.append(rounds)
+        return res
+
+    monkeypatch.setattr(neighbors, "_poly_close_pair", twin_checked)
     ds = random_dataset(np.random.default_rng(21), 20, 4)
     closest_pair(ds, ENGAGED_S2_CFG, np.random.default_rng(1))
     batch_nn(list(ds.red[:12]), list(ds.blue[:12]), ENGAGED_S2_CFG, np.random.default_rng(2))
-    assert decisions and len(draws) == ENGAGED_S2_CFG.rounds * len(decisions)
+    assert checked == [ENGAGED_S2_CFG.rounds] * len(checked) and len(checked) > 1
+    assert len(draws) == len(checked) == len(tables)
 
 
 def test_block_polynomials_evaluated_once_per_decision(monkeypatch):

@@ -155,18 +155,20 @@ def test_furthest_pair_wrong_witness_raises(monkeypatch):
         [BitVector.from_string("000")],
     )
     # red 0 is at distance 0, but the claimed complemented distance 0 means 3
-    monkeypatch.setattr("polyham.reductions.closest_pair", lambda ds, cfg, rng: (0, 0, 0))
+    monkeypatch.setattr("polyham.reductions._closest_pair_packed", lambda *args: (0, 0, 0))
     with pytest.raises(VerificationError):
         furthest_pair(ds, BRUTE_CFG)
 
 
 def test_furthest_pair_matches_oracle():
+    # the blues are complemented on packed words: 65 and 130 end in a
+    # partial word, 130 has three
     rng = np.random.default_rng(4)
-    for seed in range(20):
+    for d, seed in [(9, seed) for seed in range(20)] + [(64, 0), (65, 1), (130, 2), (130, 3)]:
         ds = Dataset(
-            9,
-            tuple(BitVector.random(rng, 9) for _ in range(25)),
-            tuple(BitVector.random(rng, 9) for _ in range(25)),
+            d,
+            tuple(BitVector.random(rng, d) for _ in range(25)),
+            tuple(BitVector.random(rng, d) for _ in range(25)),
         )
         assert furthest_pair(ds, BRUTE_CFG, np.random.default_rng(seed)) == furthest_pair_bruteforce(ds)
 
