@@ -36,7 +36,6 @@ from .probpoly import (
 from .hammingpoly import (
     GroupPredicateSpec,
     eval_group_pair,
-    expand_hamming_poly,
     sample_hamming_poly,
 )
 from .paireval import eval_all_pairs

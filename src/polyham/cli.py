@@ -6,7 +6,8 @@ timing harness.  Output is JSON lines (one record per line, sorted keys) or
 CSV for ``bench``; ``--pretty`` switches to indented JSON for humans.
 
 Every randomized run is reproducible from (seed, flags, input files); when
-``--seed`` is absent the POLYHAM_SEED environment variable is used, then 0.
+``--seed`` is absent the POLYHAM_SEED environment variable is used, then 0;
+a seed that is not a non-negative integer is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 resource or
 budget error, 4 verification failure.
@@ -50,10 +51,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else POLYHAM_SEED, else 0; a seed is a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("POLYHAM_SEED")
-    return int(env) if env else 0
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("POLYHAM_SEED")
+        if not env:
+            return 0
+        source = "POLYHAM_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _UsageError(f"{source} is not an integer: {env!r}") from None
+    if seed < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _emit(args, records) -> None:

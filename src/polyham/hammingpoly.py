@@ -21,10 +21,8 @@ applied to member i of one group and member j of the other;
 ``block_masks`` gives it as (R, 1) uint64 word masks for the all-pairs
 product on member pairs.  Over GF(2), on groups whose blocks take the
 values b_ij, factor r is E_r = (1 + |R_r|) + sum_{R_r} b_ij and q is
-1 + E_1*E_2: a draw's vote depends only on the s^2-bit pattern b.
-``factor_masks`` places the block at every (i, j) and gives the two factors
-as explicit polynomials, and ``expand_hamming_masks`` multiplies them out
-into q's own monomials; both are views for tests and debugging.
+1 + E_1*E_2: a draw's vote depends only on the s^2-bit pattern b, so q is
+never expanded into its own monomials.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import numpy as np
 from .errors import InvalidParametersError, ResourceBudgetError
 from .polyalg import Gf2Polynomial
 from .probpoly import (
-    EXPANSION_BUDGET_DEFAULT,
     CircuitPlan,
     SampledThresholdCircuit,
     ThresholdSpec,
@@ -58,9 +55,6 @@ __all__ = [
     "sample_hamming_poly",
     "draw_coins",
     "block_masks",
-    "factor_masks",
-    "expand_hamming_poly",
-    "expand_hamming_masks",
     "eval_group_pair",
     "eval_group_pair_with",
     "group_pair_truth",
@@ -243,7 +237,7 @@ def group_pair_truth(
 
 
 # ---------------------------------------------------------------------------
-# Expansion
+# The block polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -258,33 +252,26 @@ def block_rows(s: int, d: int) -> int:
     return s * s * (3**d - 1)
 
 
-def _or_field(dst: np.ndarray, values: np.ndarray, offset: int, width: int) -> None:
-    """OR a column of ``width``-bit values into bit ``offset`` of the word
-    rows ``dst`` (last axis words); a field straddles at most two words."""
-    word, shift = divmod(offset, 64)
-    dst[..., word] |= values << np.uint64(shift)
-    if shift + width > 64:
-        dst[..., word + 1] |= values >> np.uint64(64 - shift)
+@functools.lru_cache(maxsize=32)
+def _member_block(d: int, k: int) -> np.ndarray:
+    """Read-only word masks of p(x xor y) for the exact threshold p =
+    [weight >= k+1] on d variables, shape (R, 1): x at bits 0..d-1, y at
+    bits d..2d-1.  It samples nothing, so every draw and every group size
+    shares it.
 
-
-def _inner_masks(inner: SampledThresholdCircuit, budget: int) -> np.ndarray:
-    """Word masks of p(x xor y) for a drawn inner circuit p on d variables,
-    shape (R, 1): x at bits 0..d-1, y at bits d..2d-1.
-
-    p is expanded within ``budget`` monomials.  Each degree-r monomial of p
-    splits into 2^r monomials, one per choice of the x or the y copy of each
-    coordinate; distinct source monomials cannot collide, so plain
-    concatenation keeps GF(2) semantics.  Rows run by degree, then by term,
-    then by choice c, whose bit t picks the y copy of the term's t-th
-    coordinate.  Raises ResourceBudgetError before expanding when a row
-    does not fit one word.
+    Each degree-r monomial of p splits into 2^r monomials, one per choice of
+    the x or the y copy of each coordinate; distinct source monomials cannot
+    collide, so plain concatenation keeps GF(2) semantics.  Rows run by
+    degree, then by term, then by choice c, whose bit t picks the y copy of
+    the term's t-th coordinate.  Raises ResourceBudgetError before expanding
+    when a row does not fit one word.
     """
-    d = inner.spec.n
     if 2 * d > 64:
         raise ResourceBudgetError(
             f"block rows are built in one 64-bit word, and 2*d = {2 * d} bits do not fit"
         )
-    p = Gf2Polynomial.from_int_polynomial(expand_circuit(inner, budget=budget))
+    inner = sample_threshold(_draw_parts(GroupPredicateSpec(1, d, k))[0], np.random.default_rng(0))
+    p = Gf2Polynomial.from_int_polynomial(expand_circuit(inner, budget=1 << d))
     by_degree: dict[int, list] = {}
     for m in p.terms:
         by_degree.setdefault(len(m), []).append(m)
@@ -298,61 +285,8 @@ def _inner_masks(inner: SampledThresholdCircuit, budget: int) -> np.ndarray:
         x = bits.sum(axis=1, dtype=np.uint64)[:, None] - y
         out[row : row + x.size, 0] = (x | y << np.uint64(d)).ravel()
         row += x.size
+    out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=32)
-def _member_block(d: int, k: int) -> np.ndarray:
-    """Read-only :func:`_inner_masks` of the exact threshold [weight >= k+1]
-    on d variables: it samples nothing, so every draw and every group size
-    shares it."""
-    inner = sample_threshold(_draw_parts(GroupPredicateSpec(1, d, k))[0], np.random.default_rng(0))
-    block = _inner_masks(inner, 1 << d)
-    block.setflags(write=False)
-    return block
-
-
-@functools.lru_cache(maxsize=32)
-def _exact_inner_blocks(spec: GroupPredicateSpec) -> np.ndarray:
-    """The member block placed at every block pair: read-only (s*s, R, W).
-
-    Block pair (i, j) sits at index i*s + j, its x part in the words of
-    x-block i and its y part in those of y-block j of the 2*s*d ambient
-    variables.  Only :func:`factor_masks` and its views use this layout.
-    """
-    s, d = spec.s, spec.d
-    if s == 1:
-        return _member_block(d, spec.k)[None]  # x-block 0 and y-block 0 are x and y
-    member = _member_block(d, spec.k)[:, 0]
-    x, y = member & np.uint64((1 << d) - 1), member >> np.uint64(d)
-    out = np.zeros((s, s, len(member), (spec.nvars + 63) // 64), dtype=np.uint64)
-    for g in range(s):
-        _or_field(out[g], x, g * d, d)
-        _or_field(out[:, g], y, (s + g) * d, d)
-    blocks = out.reshape(s * s, len(member), -1)
-    blocks.setflags(write=False)
-    return blocks
-
-
-def _parity_unique(masks: np.ndarray) -> np.ndarray:
-    """Keep the mask rows that occur an odd number of times (GF(2) sum).
-
-    The result is sorted as big integers (last word most significant), so
-    the zero mask, if kept, comes first.  One-word rows sort as a 1-D
-    column: that is several times faster than a row sort at the sizes the
-    pipeline expands.
-    """
-    if len(masks) == 0:
-        return masks
-    if masks.shape[1] == 1:
-        uniq, counts = np.unique(masks[:, 0], return_counts=True)
-        return uniq[(counts & 1) == 1, None]
-    masks = masks[np.lexsort(masks.T)]
-    new = np.ones(len(masks), dtype=bool)
-    new[1:] = (masks[1:] != masks[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(masks))
-    return masks[starts[(counts & 1) == 1]]
 
 
 def block_masks(hp: SampledHammingPolynomial) -> np.ndarray:
@@ -372,87 +306,3 @@ def block_masks(hp: SampledHammingPolynomial) -> np.ndarray:
             "its blocks would differ per draw and are not expanded"
         )
     return _member_block(hp.spec.d, hp.spec.k)
-
-
-def factor_masks(
-    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two factors f_r = 1 + sum_{(i,j) in R_r} (1 + p(x_i xor y_j)) of
-    q = 1 + f1*f2, each as sorted (m_r, W) uint64 masks over the 2*s*d
-    variables, W = ceil(2*s*d / 64), variable v at bit v % 64 of word v // 64
-    (the layout of ``vectors.pack_rows``).
-
-    A test and debugging view: the pipeline evaluates :func:`block_masks`
-    on member pairs and votes from the values.  When R_1 = R_2 the same
-    array is returned twice.  Raises ResourceBudgetError (naming the row
-    count) if a factor has more rows than the budget; budgets count
-    monomials, not words.
-    """
-    block_masks(hp)  # refuses a sampled inner circuit
-    blocks = _exact_inner_blocks(hp.spec)
-    words = blocks.shape[2]
-    factors = []
-    for coins in hp.coins if (hp.coins[0] != hp.coins[1]).any() else hp.coins[:1]:
-        # 1 + sum (1 + P_ij) = (1 + |R|) + sum P_ij over GF(2)
-        const = np.zeros((1 - coins.sum() % 2, words), dtype=np.uint64)
-        picked = blocks[np.flatnonzero(coins)]
-        factor = _parity_unique(np.concatenate([const, picked.reshape(-1, words)]))
-        if len(factor) > budget:
-            raise ResourceBudgetError(
-                "group polynomial factor too large", projected=len(factor), budget=budget
-            )
-        factors.append(factor)
-    return factors[0], factors[-1]
-
-
-def expand_hamming_poly(
-    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
-) -> Gf2Polynomial:
-    """The expansion as an explicit multilinear GF(2) polynomial.
-
-    A view of :func:`expand_hamming_masks` for tests and debugging; raises
-    the same ResourceBudgetError.
-    """
-    masks = expand_hamming_masks(hp, budget)
-    nvars = hp.spec.nvars
-    bits = np.unpackbits(masks.view(np.uint8), axis=1, count=nvars, bitorder="little")
-    return Gf2Polynomial(nvars, [tuple(np.flatnonzero(row).tolist()) for row in bits])
-
-
-def expand_hamming_masks(
-    hp: SampledHammingPolynomial, budget: int = EXPANSION_BUDGET_DEFAULT
-) -> np.ndarray:
-    """The product q = 1 + f1*f2 as sorted (m, W) uint64 monomial masks.
-
-    The test and debugging view of the two factors of :func:`factor_masks`;
-    the matrix pipeline never forms this product.  Raises ResourceBudgetError,
-    naming the count, if the s^2 blocks have more rows in all than the
-    budget (:func:`block_rows`) or if the expansion would exceed it; budgets
-    count monomials, not words.
-    """
-    rows = block_rows(hp.spec.s, hp.spec.d)
-    if rows > budget:
-        raise ResourceBudgetError("group polynomial blocks too large", projected=rows, budget=budget)
-    f1, f2 = factor_masks(hp, budget)
-    words = f1.shape[1]
-    work = max(1, len(f1)) * max(1, len(f2))
-    if work > 64 * budget:
-        raise ResourceBudgetError(
-            "group polynomial product too large", projected=work, budget=64 * budget
-        )
-    if len(f1) == 0 or len(f2) == 0:
-        prod = f1[:0]
-    elif np.array_equal(f1, f2):
-        prod = f1  # square of a multilinear GF(2) polynomial is itself
-    else:
-        prod = _parity_unique((f1[:, None, :] | f2[None, :, :]).reshape(-1, words))
-    # q = 1 + f1*f2: toggle the constant monomial, which sorts first
-    if len(prod) and not prod[0].any():
-        prod = prod[1:]
-    else:
-        prod = np.concatenate([np.zeros((1, words), dtype=np.uint64), prod])
-    if len(prod) > budget:
-        raise ResourceBudgetError(
-            "group polynomial expansion too large", projected=len(prod), budget=budget
-        )
-    return prod

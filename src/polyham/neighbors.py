@@ -511,16 +511,17 @@ def batch_nn(
     nd, nq = len(db), len(queries)
     n = max(nd, nq)
     s_group = max(1, math.ceil(math.sqrt(n)))
-    s_inner, engaged, reason = _plan(dim, cfg)
-    rounds = _resolve_rounds(s_group, cfg)
+    # the plan of one decision, whose sides hold s_group vectors
+    plan = pipeline_info(s_group, dim, cfg)
+    engaged, s_inner, rounds = plan["engaged"], plan["group_size"], plan["rounds"]
     max_dist = dim
 
     meta = {
         "mode": "poly" if engaged else "exact",
-        "reason": reason,
+        "reason": plan["reason"],
         "group_size": s_group,
         "inner_group_size": s_inner if engaged else None,
-        "rounds": rounds if engaged else None,
+        "rounds": rounds,
         "seed": cfg.seed,
         "max_distance": max_dist,
     }
@@ -534,9 +535,7 @@ def batch_nn(
         meta["unmatched_scans"] = sum(d == max_dist for _, _, d in entries)
         return NNResult(entries, meta)
 
-    meta["dimension_advisory_ok"] = meets_dimension_advisory(
-        GroupPredicateSpec(s_inner, dim, 0)
-    )
+    meta["dimension_advisory_ok"] = plan["dimension_advisory_ok"]
     meta["decisions"] = 0  # calls of the close-pair oracle
     db_packed, q_packed = pack_vectors(db, dim), pack_vectors(queries, dim)
     table = [max_dist] * nq

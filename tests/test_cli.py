@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polyham import cli
 from polyham.probpoly import AgreementReport
 
@@ -216,6 +218,20 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "gen", "--n", "4", "--d", "4", "--out", str(f3))
     assert f1.read_bytes() == f2.read_bytes()
     assert f1.read_bytes() != f3.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("POLYHAM_SEED", value)
+    code, out, err = run_cli(capsys, "gen", "--n", "4", "--d", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: POLYHAM_SEED")
+
+
+def test_negative_seed_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "gen", "--n", "4", "--d", "4", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: --seed")
 
 
 def test_bench_csv_shape(capsys):

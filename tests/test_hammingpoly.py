@@ -8,17 +8,11 @@ from polyham.errors import InvalidParametersError, ResourceBudgetError
 from polyham.hammingpoly import (
     GroupPredicateSpec,
     SampledHammingPolynomial,
-    _exact_inner_blocks,
-    _inner_masks,
     _member_block,
     block_masks,
-    block_rows,
     draw_coins,
     eval_group_pair,
     eval_group_pair_with,
-    expand_hamming_masks,
-    expand_hamming_poly,
-    factor_masks,
     group_pair_truth,
     inner_error_budget,
     meets_dimension_advisory,
@@ -30,8 +24,8 @@ from polyham.neighbors import (
     _pattern_flags,
     _pattern_table,
 )
-from polyham.paireval import eval_all_pairs_masks, eval_sides, pack_sides
-from polyham.vectors import BitVector, concat
+from polyham.paireval import eval_sides, pack_sides
+from polyham.vectors import BitVector
 
 
 def true_p_for(k):
@@ -42,11 +36,6 @@ def true_p_for(k):
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
-def eval_on_groups(q, spec, xs, ys):
-    mask = concat(xs).bits | (concat(ys).bits << (spec.s * spec.d))
-    return q.eval_mask(mask)
 
 
 def test_spec_validation():
@@ -165,125 +154,61 @@ def test_duplicate_padding_changes_nothing():
     assert group_pair_truth(spec2, xs, ys) == group_pair_truth(spec3, padded_xs, padded_ys)
 
 
-def test_structural_equals_expanded_random_inputs():
-    rng = np.random.default_rng(6)
-    cases = [(1, 4), (1, 6), (2, 4), (2, 5), (3, 3), (4, 3), (17, 2)]  # 68 vars: W=2
-    for s, d in cases:
-        spec = GroupPredicateSpec(s, d, 1)
+def table_votes(a_bits, b_bits, draws, s):
+    """The pipeline's majority vote of ``draws`` on every (a row, b row)
+    cell, each row a group of s members' d coordinates: one product of the
+    block polynomial on block-major member pairs, read by index."""
+    d = draws[0].spec.d
+    na, nb = len(a_bits), len(b_bits)
+    red = a_bits.reshape(na * s, d)[_block_major(na * s, s, 0, na)]
+    blue = b_bits.reshape(nb * s, d)[_block_major(nb * s, s, 0, nb)]
+    vals = eval_sides(block_masks(draws[0]), pack_sides(d, red, blue, 1))
+    coins = np.packbits([hp.coins for hp in draws], axis=2, bitorder="little")
+    pattern = _block_pattern(vals.reshape(s, na, s, nb))
+    return _pattern_flags(pattern, coins, _pattern_table(coins, s * s)).astype(np.uint8)
+
+
+def random_groups(rng, n, s, d):
+    """n random groups, each a 0/1 row of s members' d coordinates."""
+    return rng.integers(0, 2, size=(n, s * d)).astype(np.uint8)
+
+
+def structural_votes(hp, a_bits, b_bits):
+    """eval_group_pair on every (a row, b row) cell."""
+    s, d = hp.spec.s, hp.spec.d
+    reds, blues = (
+        [[BitVector.from_bits(m.tolist()) for m in row.reshape(s, d)] for row in bits]
+        for bits in (a_bits, b_bits)
+    )
+    return np.array([[eval_group_pair(hp, xs, ys) for ys in blues] for xs in reds], dtype=np.uint8)
+
+
+def assert_pipeline_votes_structural(spec, a_bits, b_bits, rng, n_draws=3):
+    """Each of n_draws draws' pipeline vote on every cell of the grid is the
+    structurally evaluated q."""
+    for _ in range(n_draws):
         hp = sample_hamming_poly(spec, rng)
-        q = expand_hamming_poly(hp, budget=10**7)
-        for _ in range(60):
-            xs = [BitVector.random(rng, d) for _ in range(s)]
-            ys = [BitVector.random(rng, d) for _ in range(s)]
-            assert eval_on_groups(q, spec, xs, ys) == eval_group_pair(hp, xs, ys)
+        np.testing.assert_array_equal(
+            table_votes(a_bits, b_bits, [hp], spec.s), structural_votes(hp, a_bits, b_bits)
+        )
+
+
+def test_structural_equals_expanded_random_inputs():
+    # the pipeline's block-expanded product votes as eval_group_pair on
+    # random group pairs
+    rng = np.random.default_rng(6)
+    cases = [(1, 4), (1, 6), (2, 4), (2, 5), (3, 3), (4, 3), (17, 2)]  # (17, 2): past 16 blocks
+    for s, d in cases:
+        a_bits, b_bits = random_groups(rng, 12, s, d), random_groups(rng, 10, s, d)
+        assert_pipeline_votes_structural(GroupPredicateSpec(s, d, 1), a_bits, b_bits, rng)
 
 
 def test_structural_equals_expanded_exhaustive_s1():
+    # s = 1 at k = d - 1: every (x, y)
     rng = np.random.default_rng(7)
     for d in (2, 3, 4):
-        spec = GroupPredicateSpec(1, d, d - 1)
-        hp = sample_hamming_poly(spec, rng)
-        q = expand_hamming_poly(hp)
-        for xm in range(1 << d):
-            for ym in range(1 << d):
-                x, y = BitVector(d, xm), BitVector(d, ym)
-                assert eval_on_groups(q, spec, [x], [y]) == eval_group_pair(hp, [x], [y])
-
-
-def test_expanded_degree_bound():
-    rng = np.random.default_rng(8)
-    for s, d in [(1, 5), (2, 4), (3, 3)]:
-        spec = GroupPredicateSpec(s, d, 1)
-        hp = sample_hamming_poly(spec, rng)
-        q = expand_hamming_poly(hp)
-        inner_deg = expand_circuit_degree(hp)
-        assert q.degree() <= 2 * inner_deg
-
-
-def expand_circuit_degree(hp):
-    from polyham.probpoly import expand_circuit
-
-    return expand_circuit(hp.inner).degree()
-
-
-def test_monomial_count_regression_bound():
-    # recorded constant: expansions stay within 32 * s^4 * C(2d, deg(inner)).
-    # (The asymptotic form assumes deg(inner) well below d; at desk scale the
-    # inner polynomial is the exact threshold of degree d, so the constant is
-    # an empirical record: worst observed ratio is ~15.)
-    from math import comb
-
-    rng = np.random.default_rng(9)
-    for s, d in [(1, 4), (2, 4), (2, 5), (3, 3)]:
-        spec = GroupPredicateSpec(s, d, 1)
-        for _ in range(5):
-            hp = sample_hamming_poly(spec, rng)
-            q = expand_hamming_poly(hp)
-            inner_deg = expand_circuit_degree(hp)
-            assert q.monomial_count() <= 32 * s**4 * comb(2 * d, inner_deg)
-
-
-def test_expansion_budget_error():
-    # 16 * (3^12 - 1) block rows: refused before any block is built
-    spec = GroupPredicateSpec(4, 12, 3)
-    hp = sample_hamming_poly(spec, np.random.default_rng(10))
-    with pytest.raises(ResourceBudgetError) as exc:
-        expand_hamming_poly(hp)
-    assert exc.value.projected == block_rows(4, 12) == 16 * (3**12 - 1)
-
-
-def eval_masks(masks, point):
-    """Parity of the mask rows whose every word is covered by the point's words."""
-    words = np.array(BitVector(64 * masks.shape[1], point).words, dtype=np.uint64)
-    return int(((words & masks) == masks).all(axis=1).sum() & 1)
-
-
-def test_masks_and_tuples_agree():
-    rng = np.random.default_rng(11)
-    for s, d in [(2, 4), (17, 2)]:
-        spec = GroupPredicateSpec(s, d, 1)
-        hp = sample_hamming_poly(spec, rng)
-        masks = expand_hamming_masks(hp, budget=10**7)
-        q = expand_hamming_poly(hp, budget=10**7)
-        assert masks.shape == (q.monomial_count(), (spec.nvars + 63) // 64)
-        for _ in range(30):
-            xs = [BitVector.random(rng, d) for _ in range(s)]
-            ys = [BitVector.random(rng, d) for _ in range(s)]
-            point = concat(xs).bits | (concat(ys).bits << (s * d))
-            want = eval_group_pair(hp, xs, ys)
-            assert eval_masks(masks, point) == want
-            assert q.eval_mask(point) == want
-
-
-def test_masks_poly_round_trip_two_words():
-    spec = GroupPredicateSpec(17, 2, 1)
-    hp = sample_hamming_poly(spec, np.random.default_rng(14))
-    masks = expand_hamming_masks(hp, budget=10**7)
-    assert masks.shape[1] == 2 and masks[:, 1].any()
-    # variable v is bit v % 64 of word v // 64
-    as_ints = [int(lo) | (int(hi) << 64) for lo, hi in masks.tolist()]
-    assert as_ints == sorted(as_ints)
-    q = expand_hamming_poly(hp, budget=10**7)
-    assert set(as_ints) == {sum(1 << v for v in m) for m in q.terms}
-    assert len(as_ints) == q.monomial_count()
-
-
-def test_expansion_budget_counts_monomials():
-    spec = GroupPredicateSpec(17, 2, 1)
-    m = len(expand_hamming_masks(sample_hamming_poly(spec, np.random.default_rng(15)), 10**7))
-    # the block-row pre-check admits m - 1, so the final count check binds
-    assert block_rows(17, 2) <= m - 1
-    hp = sample_hamming_poly(spec, np.random.default_rng(15))
-    assert len(expand_hamming_masks(hp, budget=m)) == m
-    hp = sample_hamming_poly(spec, np.random.default_rng(15))
-    with pytest.raises(ResourceBudgetError) as exc:
-        expand_hamming_masks(hp, budget=m - 1)
-    assert exc.value.projected == m
-    # and below the block rows the pre-check refuses first
-    hp = sample_hamming_poly(spec, np.random.default_rng(15))
-    with pytest.raises(ResourceBudgetError) as exc:
-        expand_hamming_masks(hp, budget=block_rows(17, 2) - 1)
-    assert exc.value.projected == block_rows(17, 2)
+        every = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+        assert_pipeline_votes_structural(GroupPredicateSpec(1, d, d - 1), every, every, rng)
 
 
 def draws_with_edge_subsets(spec, rng, n_random):
@@ -300,46 +225,6 @@ def draws_with_edge_subsets(spec, rng, n_random):
 
 @pytest.mark.parametrize(
     "s, d, k, n_random",
-    [(2, 4, 0, 25), (2, 4, 1, 25), (2, 4, 2, 25), (17, 2, 1, 2)],  # (17, 2): W = 2
-)
-def test_factor_vote_equals_expanded_vote(s, d, k, n_random):
-    # q = 1 + f1*f2, so the all-pairs matrix of q is 1 ^ (E1 & E2) bit for bit
-    spec = GroupPredicateSpec(s, d, k)
-    rng = np.random.default_rng(17)
-    a_bits = rng.integers(0, 2, size=(40, s * d)).astype(np.uint8)
-    b_bits = rng.integers(0, 2, size=(33, s * d)).astype(np.uint8)
-    sides = pack_sides(s * d, a_bits, b_bits, (spec.nvars + 63) // 64)
-    draws = draws_with_edge_subsets(spec, rng, n_random)
-    for hp in draws:
-        f1, f2 = factor_masks(hp)
-        assert f1.shape[1] == f2.shape[1] == (spec.nvars + 63) // 64
-        assert (f1 is f2) == (hp.r1 == hp.r2)
-        if not hp.r1:
-            assert f1.tolist() == [[0] * f1.shape[1]]  # the constant 1
-        e1, e2 = eval_sides(f1, sides), eval_sides(f2, sides)
-        np.testing.assert_array_equal(e1, eval_all_pairs_masks(f1, s * d, a_bits, b_bits))
-        want = eval_all_pairs_masks(
-            expand_hamming_masks(hp, budget=10**7), s * d, a_bits, b_bits, budget=10**7
-        )
-        np.testing.assert_array_equal(1 ^ (e1 & e2), want)
-
-
-def table_votes(a_bits, b_bits, draws, s):
-    """The pipeline's majority vote of ``draws`` on every (a row, b row)
-    cell, each row a group of s members' d coordinates: one product of the
-    block polynomial on block-major member pairs, read by index."""
-    d = draws[0].spec.d
-    na, nb = len(a_bits), len(b_bits)
-    red = a_bits.reshape(na * s, d)[_block_major(na * s, s, 0, na)]
-    blue = b_bits.reshape(nb * s, d)[_block_major(nb * s, s, 0, nb)]
-    vals = eval_sides(block_masks(draws[0]), pack_sides(d, red, blue, 1))
-    coins = np.packbits([hp.coins for hp in draws], axis=2, bitorder="little")
-    pattern = _block_pattern(vals.reshape(s, na, s, nb))
-    return _pattern_flags(pattern, coins, _pattern_table(coins, s * s)).astype(np.uint8)
-
-
-@pytest.mark.parametrize(
-    "s, d, k, n_random",
     [
         (2, 4, 0, 25),
         (2, 4, 1, 25),
@@ -352,40 +237,24 @@ def table_votes(a_bits, b_bits, draws, s):
 def test_block_votes_equal_factor_votes(s, d, k, n_random):
     # a draw's vote on a cell depends only on the cell's s^2 block bits, so
     # one table per decision, read at each cell's pattern, gives every
-    # draw's vote 1 ^ (E1 & E2) and their majority
+    # draw's vote 1 ^ (E1 & E2), which eval_group_pair computes factor by
+    # factor, and their majority
     spec = GroupPredicateSpec(s, d, k)
     rng = np.random.default_rng(24)
-    a_bits = rng.integers(0, 2, size=(37, s * d)).astype(np.uint8)
-    b_bits = rng.integers(0, 2, size=(29, s * d)).astype(np.uint8)
-    sides = pack_sides(s * d, a_bits, b_bits, (spec.nvars + 63) // 64)
+    a_bits, b_bits = random_groups(rng, 12, s, d), random_groups(rng, 10, s, d)
     draws = draws_with_edge_subsets(spec, rng, n_random)
     block = block_masks(draws[0])
-    assert block.shape == (_exact_inner_blocks(spec).shape[1], 1)
+    assert block is _member_block(d, k)
     votes = []
     for hp in draws:
         assert block_masks(hp) is block  # exact inner circuit: one shared block
-        e1, e2 = (eval_sides(factor, sides) for factor in factor_masks(hp))
-        want = 1 ^ (e1 & e2)
+        want = structural_votes(hp, a_bits, b_bits)
         np.testing.assert_array_equal(table_votes(a_bits, b_bits, [hp], s), want)
         votes.append(want)
     # two draws tie on many cells, and a tie is not a majority
     for m in (2, 3, len(draws)):
         majority = (2 * np.sum(votes[:m], axis=0) > m).astype(np.uint8)
         np.testing.assert_array_equal(table_votes(a_bits, b_bits, draws[:m], s), majority)
-
-
-def test_factor_budget_counts_rows():
-    spec = GroupPredicateSpec(2, 4, 1)
-    drawn = sample_hamming_poly(spec, np.random.default_rng(18))
-    # R_1 = {(0, 0)}, R_2 = {(0, 1), (1, 1)}
-    hp = SampledHammingPolynomial(spec, drawn.eps, drawn.inner, [[1, 0, 0, 0], [0, 1, 0, 1]])
-    f1, f2 = factor_masks(hp)
-    rows = len(f2)
-    assert len(f1) < rows
-    np.testing.assert_array_equal(factor_masks(hp, budget=rows)[1], f2)
-    with pytest.raises(ResourceBudgetError) as exc:
-        factor_masks(hp, budget=rows - 1)
-    assert exc.value.projected == rows
 
 
 def member_distances(red, blue, s):
@@ -407,8 +276,6 @@ def test_group_matrix_equals_distance_formula(s, d, k):
     red = rng.integers(0, 2, size=(groups * s, d)).astype(np.uint8)
     blue = rng.integers(0, 2, size=(groups * s, d)).astype(np.uint8)
     close = member_distances(red, blue, s) <= k
-    words = (spec.nvars + 63) // 64
-    sides = pack_sides(s * d, red.reshape(groups, -1), blue.reshape(groups, -1), words)
     for _ in range(30):
         hp = sample_hamming_poly(spec, rng)
         assert hp.inner.kind == "exact_base"
@@ -417,9 +284,6 @@ def test_group_matrix_equals_distance_formula(s, d, k):
             for i, j in subset:
                 g ^= close[:, :, i, j]
         want = 1 ^ (g1 & g2)
-        f1, f2 = factor_masks(hp)
-        got = 1 ^ (eval_sides(f1, sides) & eval_sides(f2, sides))
-        np.testing.assert_array_equal(got, want)
         # the pipeline's vote: the draw's table read at each cell's pattern
         np.testing.assert_array_equal(
             table_votes(red.reshape(groups, -1), blue.reshape(groups, -1), [hp], s), want
@@ -438,22 +302,17 @@ def test_block_masks_refuses_a_sampled_inner_circuit():
 
 
 def test_block_masks_is_one_member_block():
-    # every group size shares the (d, k) block p(x xor y) on 2d bits, and
-    # factor_masks places it at x-block i and y-block j for pair (i, j)
+    # every group size shares the (d, k) block p(x xor y) on 2d bits; a row
+    # takes the x or the y copy of each coordinate, and no two rows cancel
     d, k = 4, 1
     block = _member_block(d, k)
-    assert block.shape == (_exact_inner_blocks(GroupPredicateSpec(1, d, k)).shape[1], 1)
+    assert block.shape[1] == 1 and len(np.unique(block)) == len(block)
     assert not block.flags.writeable and not (block >> np.uint64(2 * d)).any()
     x, y = block[:, 0] & np.uint64((1 << d) - 1), block[:, 0] >> np.uint64(d)
+    assert not (x & y).any()
     for s in (1, 2, 3):
         spec = GroupPredicateSpec(s, d, k)
         assert block_masks(sample_hamming_poly(spec, np.random.default_rng(4))) is block
-        placed = _exact_inner_blocks(spec)
-        assert placed.shape == (s * s, len(block), 1)
-        for i in range(s):
-            for j in range(s):
-                want = x << np.uint64(i * d) | y << np.uint64((s + j) * d)
-                np.testing.assert_array_equal(placed[i * s + j, :, 0], want)
 
 
 # First draws at rng seed 7, recorded before the per-spec draw parts were
@@ -513,67 +372,62 @@ def test_one_coin_call_is_the_stream_of_its_draws(s, rounds):
     assert not draws[-1].coins.flags.writeable
 
 
-def test_exact_inner_blocks_shared_across_draws():
+def test_member_block_shared_across_draws():
+    # every draw for (d, k) gets the one read-only block, and a rebuild
+    # after cache_clear gives the same masks
     spec = GroupPredicateSpec(2, 4, 1)
     draws = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
     assert all(hp.inner.kind == "exact_base" for hp in draws)
-    blocks = _exact_inner_blocks(spec)
-    assert blocks is _exact_inner_blocks(spec) and not blocks.flags.writeable
-    for hp in draws:
-        np.testing.assert_array_equal(block_masks(hp), _inner_masks(hp.inner, 10**6))
-    masks = [expand_hamming_masks(hp) for hp in draws]
-    _exact_inner_blocks.cache_clear()
+    block = _member_block(4, 1)
+    assert all(block_masks(hp) is block for hp in draws) and not block.flags.writeable
     _member_block.cache_clear()
-    again = [sample_hamming_poly(spec, np.random.default_rng(seed)) for seed in (12, 13)]
-    for want, hp in zip(masks, again):
-        np.testing.assert_array_equal(expand_hamming_masks(hp), want)
+    again = block_masks(sample_hamming_poly(spec, np.random.default_rng(12)))
+    assert again is not block and not again.flags.writeable
+    np.testing.assert_array_equal(again, block)
 
 
-# sha256 of the block masks' bytes, recorded when the masks were still
-# built by a 0/1 scatter and a pack; (17, 2, 1) and (5, 7, 2) have two words
-# per row, and at (5, 7) the y-block of group 4 straddles them.
+# sha256 of the member block's bytes.  (6, 0), (6, 3) and (10, 4) were
+# recorded when the blocks were still built by a 0/1 scatter and a pack; the
+# other keys were recorded from the block built in words, before the placed
+# (s^2, R, W) blocks were deleted.
 PINNED_BLOCKS = {
-    (1, 6, 0): ((1, 728, 1), "9f7583557e4a6a58c818ea45f162186de3640d1972364867d70c922d91e01b77"),
-    (1, 6, 3): ((1, 240, 1), "6ee86309c0ba70b17a6479379bc958cd4826520d367aad130729ed04ddce8b09"),
-    (2, 4, 0): ((4, 80, 1), "f258f67812c20506872a09b7913aed10ac305f6d9bfaef532c29f2c4d37ae9e7"),
-    (2, 5, 2): ((4, 160, 1), "f2da3124d98298fb98bd38cfe74947db3e66b5ba5a03b29250682d5b280dcf02"),
-    (3, 3, 1): ((9, 12, 1), "a1afafe7877e709945f92e9b2f4a1b44b63c1b2a7fb75f510b6e02f4cafd0dd5"),
-    (17, 2, 1): ((289, 4, 2), "7c27bcb948cc3cd2b8779fa92823aabfddf45bb580d96a5721d2815af39705a1"),
-    (5, 7, 2): ((25, 968, 2), "919c1777c9abb5f3ddac02c23c18f31fa7a18d546a727cf87ba4c31eaf8ee5dd"),
-    (1, 10, 4): ((1, 48384, 1), "95b928b54bd3e68b413e842c7717f32db0b5de36cddad6a8648a749106c84c0d"),
+    (6, 0): ((728, 1), "9f7583557e4a6a58c818ea45f162186de3640d1972364867d70c922d91e01b77"),
+    (6, 3): ((240, 1), "6ee86309c0ba70b17a6479379bc958cd4826520d367aad130729ed04ddce8b09"),
+    (4, 0): ((80, 1), "e7510be003a82d1eac093a7f19dbd5ab42940748f321ccd7b584754aea93cd06"),
+    (5, 2): ((160, 1), "6c4b687607c3df739ac0f9825a31c4d0add7869e0664bdb2996bf0c752b2b958"),
+    (3, 1): ((12, 1), "3046d153b9ed97d5f978a2eecd4908af90658f82d88a8f6ce83e33bab01a9654"),
+    (2, 1): ((4, 1), "fe2e3876105e2686557dd746753ebaa67513eac43211b6338c98aafd39291f89"),
+    (7, 2): ((968, 1), "170b35cec361dab2e9cd1072fb76a6a086bf07aabe0797124fb08d725ba8ca79"),
+    (10, 4): ((48384, 1), "95b928b54bd3e68b413e842c7717f32db0b5de36cddad6a8648a749106c84c0d"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_BLOCKS))
-def test_exact_inner_blocks_pinned(key):
+def test_member_block_pinned(key):
     import hashlib
 
     shape, digest = PINNED_BLOCKS[key]
-    blocks = _exact_inner_blocks(GroupPredicateSpec(*key))
-    assert blocks.shape == shape
-    assert hashlib.sha256(blocks.tobytes()).hexdigest() == digest
+    block = _member_block(*key)
+    assert block.shape == shape
+    assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("s, d", [(1, 12), (32, 6)])
-def test_exact_inner_blocks_memory_is_near_the_output(s, d):
-    # the scatter-and-pack build peaked at 55x (1, 12) and 11x (32, 6) the
-    # masks it returned; the word build stays within 3x
+def test_member_block_memory_is_near_the_output():
+    # the scatter-and-pack build peaked at 55x the masks it returned at
+    # d = 12; the word build stays within 3x
     import tracemalloc
 
-    spec = GroupPredicateSpec(s, d, 0)
-    _exact_inner_blocks.cache_clear()
     _member_block.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        blocks = _exact_inner_blocks(spec)
+        block = _member_block(12, 0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-        _exact_inner_blocks.cache_clear()
         _member_block.cache_clear()
-    assert blocks.shape[:2] == (s * s, 3**d - 1)
-    assert peak <= 3 * blocks.nbytes
+    assert block.shape == (3**12 - 1, 1)
+    assert peak <= 3 * block.nbytes
 
 
 def test_block_masks_need_one_word_per_row_part(monkeypatch):
@@ -588,7 +442,7 @@ def test_block_masks_need_one_word_per_row_part(monkeypatch):
     hp = sample_hamming_poly(GroupPredicateSpec(1, 33, 0), np.random.default_rng(5))
     assert hp.inner.kind == "exact_base"
     with pytest.raises(ResourceBudgetError, match="64-bit"):
-        _inner_masks(hp.inner, 1 << 33)
+        _member_block(33, 0)
     with pytest.raises(ResourceBudgetError, match="64-bit"):
         block_masks(hp)
 

@@ -203,16 +203,15 @@ def test_explicit_group_size_is_not_halved():
 
 
 def test_block_rows_bound_every_k():
-    # the admitted count is the row count of the (s^2, R, W) block array at
-    # k = 0, and no k has more rows
-    from polyham.hammingpoly import GroupPredicateSpec, _exact_inner_blocks, block_rows
+    # the admitted count is s^2 times the member block's rows at k = 0, and
+    # no k has more rows
+    from polyham.hammingpoly import _member_block, block_rows
 
     for s in (1, 2, 3):
         for d in (1, 2, 3, 5, 6):
-            shapes = [_exact_inner_blocks(GroupPredicateSpec(s, d, k)).shape for k in range(d)]
-            assert shapes[0][0] == s * s
-            assert block_rows(s, d) == s * s * shapes[0][1] == s * s * (3**d - 1)
-            assert max(rows for _, rows, _ in shapes) == shapes[0][1], (s, d)
+            rows = [s * s * _member_block(d, k).shape[0] for k in range(d)]
+            assert block_rows(s, d) == rows[0] == s * s * (3**d - 1)
+            assert max(rows) == rows[0], (s, d)
 
 
 def test_defaults_scan_exactly(monkeypatch):
@@ -604,17 +603,10 @@ def spy(monkeypatch, module, name):
 
 
 def test_pipeline_never_expands_the_product(monkeypatch):
-    # the pipeline votes from a table over the block matrices' patterns;
-    # the expanded product is only a test and debugging view, so making it
-    # raise changes no answer
-    import polyham.hammingpoly as hammingpoly
+    # the pipeline evaluates the member block through block_masks and votes
+    # from a table over the block patterns; f1*f2 has no expanded form
     import polyham.neighbors as neighbors
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pipeline expanded f1*f2")
-
-    monkeypatch.setattr(hammingpoly, "expand_hamming_masks", refuse)
-    monkeypatch.setattr(hammingpoly, "expand_hamming_poly", refuse)
     calls = spy(monkeypatch, neighbors, "block_masks")
     rng = np.random.default_rng(20)
     ds = random_dataset(rng, 20, 4)
