@@ -103,6 +103,16 @@ def _int_or_auto(text: str):
     return "auto" if text == "auto" else int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
+
+
 def _config(args, seed: int) -> ClosestPairConfig:
     budget = 0 if getattr(args, "brute_force", False) else args.budget
     return ClosestPairConfig(
@@ -363,12 +373,10 @@ def _cmd_jaccard(args) -> int:
 
 def _cmd_bench(args) -> int:
     seed = _resolve_seed(args)
-    sizes = [int(t) for t in args.sizes.split(",")]
-    dims = [int(t) for t in args.dims.split(",")]
     modes = ["poly", "brute"] if args.mode == "both" else [args.mode]
     lines = ["n,d,mode,path,seconds,dist,agree"]
-    for n in sizes:
-        for d in dims:
+    for n in args.sizes:
+        for d in args.dims:
             rng = np.random.default_rng([seed, n, d])
             red = tuple(BitVector.random(rng, d) for _ in range(n))
             blue = tuple(BitVector.random(rng, d) for _ in range(n))
@@ -407,8 +415,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a random dataset")
     p.add_argument("--kind", choices=("uniform", "planted"), default="uniform")
-    p.add_argument("--n", type=int, required=True, help="vectors per color")
-    p.add_argument("--d", type=int, required=True, help="dimension")
+    p.add_argument("--n", type=_positive_int, required=True, help="vectors per color")
+    p.add_argument("--d", type=_positive_int, required=True, help="dimension")
     p.add_argument("--planted-distance", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text01", "hex"), default="text01")
@@ -481,8 +489,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jaccard)
 
     p = sub.add_parser("bench", help="wall-clock timings, CSV output")
-    p.add_argument("--sizes", default="128,256")
-    p.add_argument("--dims", default="8,16")
+    p.add_argument("--sizes", type=_positive_ints, default="128,256")
+    p.add_argument("--dims", type=_positive_ints, default="8,16")
     p.add_argument("--mode", choices=("poly", "brute", "both"), default="both")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=neighbors.MONOMIAL_BUDGET_DEFAULT)

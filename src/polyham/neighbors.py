@@ -11,9 +11,11 @@ takes the coins of the other draws from one call, and builds one table of
 the votes indexed by that pattern.  It evaluates the block on member pairs
 through the packed GF(2) matrix product, one product per tile of red
 groups within a byte budget, and looks each group pair's pattern up.
-Flagged pairs are brute-forced.  Every positive is verified by
-recomputing the distance, so reported pairs are unconditionally sound;
-completeness is the with-high-probability side.
+The product already holds every member value of a flagged group pair,
+and an exact block is 0 exactly on a member pair within k, so only those
+member pairs are candidates (the paper brute-forces all s^2).  Every
+candidate's distance is recomputed, so reported pairs are
+unconditionally sound; completeness is the with-high-probability side.
 
 The pipeline engages only for an explicit group size s with d <= 32 (a
 block row over 2d bits is one 64-bit word) whose blocks fit the monomial
@@ -24,9 +26,9 @@ Each block restates a member distance predicate that one popcount
 decides; the paper's speedup needs an inner degree far below d, which no
 such instance has.
 The exact scans reduce the distance tiles of ``vectors.distance_tiles`` to
-a running nearest row per column as they come, and flagged pairs are
-verified through ``vectors.packed_distance_matrix``, the consumer that
-keeps every distance.
+a running nearest row per column as they come, and the candidate member
+pairs of flagged cells are verified through
+``vectors.packed_distance_matrix``, the consumer that keeps every distance.
 Distance search uses a shrinking binary search over the decision oracle;
 the batch solver follows the descending-distance retirement scheme, one
 close-pair oracle call at a time per group pair.
@@ -321,45 +323,6 @@ def _pattern_flags(
     return _majority(uniq, coins)[inverse].reshape(pattern.shape[:2])
 
 
-def _best_flagged(
-    red_packed: np.ndarray,
-    blue_packed: np.ndarray,
-    s: int,
-    k: int,
-    pairs: np.ndarray,
-    best: tuple[int, int, int] | None,
-) -> tuple[int, int, int] | None:
-    """The lexicographically least of ``best`` and the verified (dist, red,
-    blue) within k among the members of the flagged (red group, blue group)
-    pairs; None if there is neither.
-
-    The pairs are verified as (F, s, W) stacks; a short last group repeats
-    its final member, which adds no new (dist, red, blue) cell.  A flagged
-    pair holds two gathered (s, W) stacks with their member indices and
-    s*s int64 distances; when every distance is within k, each of those
-    also carries three nonzero indices, three gathered values and a
-    lexsort index.
-    """
-    nr, nb = red_packed.shape[0], blue_packed.shape[0]
-    member = np.arange(s)
-    pair_bytes = 16 * s * (red_packed.shape[1] + 1) + 65 * s * s
-    step = max(1, DISTANCE_BUDGET_BYTES // pair_bytes)
-    for f0 in range(0, len(pairs), step):
-        gi, gj = pairs[f0 : f0 + step].T
-        ridx = np.minimum(gi[:, None] * s + member, nr - 1)
-        bidx = np.minimum(gj[:, None] * s + member, nb - 1)
-        dist = packed_distance_matrix(red_packed[ridx], blue_packed[bidx])
-        f, li, lj = np.nonzero(dist <= k)  # the rest are unverified flags
-        if not len(f):
-            continue
-        d, r, b = dist[f, li, lj], ridx[f, li], bidx[f, lj]
-        w = np.lexsort((b, r, d))[0]
-        cand = (int(d[w]), int(r[w]), int(b[w]))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _poly_close_pair(
     red_packed: np.ndarray,
     blue_packed: np.ndarray,
@@ -375,7 +338,10 @@ def _poly_close_pair(
     shares one block polynomial over 2d bits and a member is one word: red
     x | ones << d, blue ones | y << d.  A tile of red groups is one GF(2)
     product of the block on its red members against every blue member,
-    both block-major, and each group pair's pattern is read from it.
+    both block-major, and each group pair's pattern is read from it.  The
+    candidates are the member pairs of flagged cells whose value is 0 (a 1
+    rules a pair out only because the block is exact), and a recomputed
+    distance within k is the only thing that lets one through.
     """
     spec = GroupPredicateSpec(s, dim, k)
     first = sample_hamming_poly(spec, rng)
@@ -389,22 +355,39 @@ def _poly_close_pair(
     ones = np.uint64((1 << dim) - 1)
     red_side = red_packed[:, :1] | ones << np.uint64(dim)
     n_red, n_blue = -(-nr // s), -(-nb // s)
-    cols = (blue_packed[:, :1] << np.uint64(dim) | ones)[_block_major(nb, s, 0, n_blue)]
+    cols = _block_major(nb, s, 0, n_blue)
+    blue_side = (blue_packed[:, :1] << np.uint64(dim) | ones)[cols]
     # A tile cell's bytes: its s^2 member values with the product's float32
-    # and int32 temporaries, the pattern with its lookup or unique
-    # temporaries, and a flag with its argwhere indices.
+    # and int32 temporaries, which the candidate mask reuses once freed,
+    # the pattern with its lookup or unique temporaries, and a flag.
     rows = max(1, DISTANCE_BUDGET_BYTES // ((9 * s * s + 47 + 3 * coins.shape[2]) * n_blue))
-    best = None
+    # A candidate's bytes: its flat, red and blue indices, two gathered rows
+    # with their XOR words and popcounts, its distance and its key.
+    step = max(1, DISTANCE_BUDGET_BYTES // (48 + 25 * red_packed.shape[1]))
+    best = math.inf  # the least (dist, red, blue) as the key (dist*nr + red)*nb + blue
     for g0 in range(0, n_red, rows):
         groups = min(rows, n_red - g0)
-        vals = eval_sides(block, (red_side[_block_major(nr, s, g0, groups)], cols))
-        pattern = _block_pattern(vals.reshape(s, groups, s, n_blue))
-        pairs = np.argwhere(_pattern_flags(pattern, coins, table))
-        pairs[:, 0] += g0
-        best = _best_flagged(red_packed, blue_packed, s, k, pairs, best)
-    if best is None:
+        ridx = _block_major(nr, s, g0, groups)
+        vals = eval_sides(block, (red_side[ridx], blue_side)).reshape(s, groups, s, n_blue)
+        flags = _pattern_flags(_block_pattern(vals), coins, table)
+        if not flags.any():
+            continue
+        close = vals == 0
+        close &= flags[None, :, None, :]
+        close = close.reshape(-1)  # flat c: red ridx[c // len(cols)], blue cols[c % len(cols)]
+        for c0 in range(0, close.size, step):
+            r, b = np.divmod(np.flatnonzero(close[c0 : c0 + step]) + c0, len(cols))
+            if not len(r):
+                continue
+            r, b = ridx[r], cols[b]
+            d = packed_distance_matrix(red_packed[r, None], blue_packed[b, None])[:, 0, 0]
+            key = ((d * nr + r) * nb + b)[d <= k]  # int64: d <= 32, so no overflow
+            if len(key):
+                best = min(best, int(key.min()))
+    if best == math.inf:
         return None
-    return best[1], best[2], best[0]
+    d, rest = divmod(best, nr * nb)
+    return (*divmod(rest, nb), d)
 
 
 # ---------------------------------------------------------------------------

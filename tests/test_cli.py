@@ -234,6 +234,19 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     assert err.startswith("usage error: --seed")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--d", "4", "--n", "0"),  # a text01 file that load_dataset rejects
+    ("gen", "--d", "4", "--n", "-1"),  # an empty dataset
+    ("gen", "--n", "4", "--d", "0"),
+    ("bench", "--dims", "0"),
+    ("bench", "--sizes", "x"),
+])
+def test_sizes_and_dimensions_must_be_positive(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {argv[-2]}: not a positive integer")
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--sizes", "16,32", "--dims", "4", "--mode", "both", "--seed", "0"

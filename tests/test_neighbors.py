@@ -794,6 +794,36 @@ def test_red_tiles_give_the_same_pair(monkeypatch):
                 assert one_tile[0] == 37 and one_tile[2] <= 1
 
 
+def test_verification_never_trusts_the_product(monkeypatch):
+    # with every cell flagged and every member value 0, every member pair is
+    # a candidate, so only the recomputed distances can decide: the decision
+    # is the brute-force best pair within k, or None.  Sides are ragged, and
+    # a 200-byte budget splits the tiles and the candidate chunks.
+    import polyham.neighbors as neighbors
+    from polyham.neighbors import _brute_close_pair, _poly_close_pair
+
+    monkeypatch.setattr(neighbors, "_pattern_flags",
+                        lambda pattern, *a: np.ones(pattern.shape[:2], dtype=bool))
+    monkeypatch.setattr(neighbors, "eval_sides",
+                        lambda masks, sides: np.zeros((len(sides[0]), len(sides[1])), np.uint8))
+    rng = np.random.default_rng(31)
+    for s, d, n, m in ((1, 5, 7, 9), (2, 4, 7, 5), (3, 6, 10, 8)):
+        red = pack_vectors([BitVector.random(rng, d) for _ in range(n)], d)
+        blue = pack_vectors([BitVector.random(rng, d) for _ in range(m)], d)
+        for budget in (None, 200):
+            with monkeypatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(neighbors, "DISTANCE_BUDGET_BYTES", budget)
+                verified = spy(mp, neighbors, "packed_distance_matrix")
+                for k in range(d):
+                    got = _poly_close_pair(red, blue, d, k, s, 3, np.random.default_rng(k))
+                    assert got == _brute_close_pair(red, blue, k)
+            if budget is None:
+                assert len(verified) == d  # one tile, one chunk of candidates
+            else:
+                assert len(verified) > d * -(-n // s)  # a tile per red group, split
+
+
 @pytest.mark.parametrize("s, n, k", [(1, 2048, 0), (2, 1024, 3)])
 def test_decision_memory_is_bounded_by_the_budget(s, n, k):
     # the whole-matrix vote held about 13 bytes per group-pair cell: 6.4 to
