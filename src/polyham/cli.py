@@ -16,6 +16,7 @@ budget error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,9 +73,9 @@ def _emit(args, records) -> None:
     text_parts = []
     for rec in records:
         if args.pretty:
-            text_parts.append(json.dumps(rec, indent=2, sort_keys=True))
+            text_parts.append(json.dumps(rec, indent=2, sort_keys=True, default=str))
         else:
-            text_parts.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            text_parts.append(json.dumps(rec, sort_keys=True, separators=(",", ":"), default=str))
     text = "\n".join(text_parts) + "\n"
     _write_out(args, text)
 
@@ -264,45 +265,24 @@ def _cmd_closest_pair(args) -> int:
     return 0
 
 
-def _load_vectors(path: str, format: str) -> list[BitVector]:
-    ds = load_dataset(_read(path), format)
+def _load_vectors(args, path: str) -> list[BitVector]:
+    ds = load_dataset(_read(path), args.format)
     return list(ds.red) + list(ds.blue)
 
 
-def _cmd_batch_nn(args) -> int:
-    seed = _resolve_seed(args)
-    db = _load_vectors(args.db, args.format)
-    queries = _load_vectors(args.queries, args.format)
-    cfg = _config(args, seed)
-    rng = np.random.default_rng(seed)
-    res = neighbors.batch_nn(db, queries, cfg, rng)
-    records = [
-        {"query": q, "nn": i, "dist": d} for q, i, d in res.entries
-    ]
-    if args.oracle:
-        oracle = neighbors.batch_nn_bruteforce(db, queries)
-        agree = sum(
-            int(a[2] == b[2]) for a, b in zip(res.entries, oracle.entries)
-        )
-        res.meta["oracle_distance_matches"] = agree
-        res.meta["oracle_total"] = len(res.entries)
-    records.append({"meta": res.meta})
-    _emit(args, records)
-    return 0
+def _load_int_vectors(args, path: str) -> list[reductions.IntVector]:
+    return reductions.load_int_vectors(_read(path))
 
 
-def _cmd_l1_batch_nn(args) -> int:
+def _cmd_nn(args, load, solve, oracle) -> int:
+    """A nearest-neighbor table from --db and --queries, one row a query."""
     seed = _resolve_seed(args)
-    db = reductions.load_int_vectors(_read(args.db))
-    queries = reductions.load_int_vectors(_read(args.queries))
-    cfg = _config(args, seed)
-    rng = np.random.default_rng(seed)
-    res = reductions.l1_batch_nn(db, queries, cfg, rng)
+    db, queries = load(args, args.db), load(args, args.queries)
+    res = solve(db, queries, _config(args, seed), np.random.default_rng(seed))
     records = [{"query": q, "nn": i, "dist": d} for q, i, d in res.entries]
     if args.oracle:
-        oracle = reductions.l1_batch_nn_bruteforce(db, queries)
         res.meta["oracle_distance_matches"] = sum(
-            int(a[2] == b[2]) for a, b in zip(res.entries, oracle.entries)
+            int(a[2] == b[2]) for a, b in zip(res.entries, oracle(db, queries).entries)
         )
         res.meta["oracle_total"] = len(res.entries)
     records.append({"meta": res.meta})
@@ -310,31 +290,16 @@ def _cmd_l1_batch_nn(args) -> int:
     return 0
 
 
-def _cmd_furthest(args) -> int:
+def _cmd_pair(args, command: str, solve, oracle, value: str) -> int:
+    """One (red, blue, value) answer from --input; ``value`` names its key."""
     seed = _resolve_seed(args)
     ds = _load_ds(args)
-    cfg = _config(args, seed)
-    ri, bi, dist = reductions.furthest_pair(ds, cfg, np.random.default_rng(seed))
-    rec = {"command": "furthest-pair", "red": ri, "blue": bi, "dist": dist}
+    ri, bi, val = solve(ds, cfg=_config(args, seed), rng=np.random.default_rng(seed))
+    # _emit writes a Jaccard coefficient, a Fraction, as its str
+    rec = {"command": command, "red": ri, "blue": bi, value: val}
     if args.oracle:
-        _, _, odist = reductions.furthest_pair_bruteforce(ds)
-        rec["oracle_dist"] = odist
-        rec["agrees"] = dist == odist
-    _emit(args, [rec, {"meta": {"seed": seed}}])
-    return 0
-
-
-def _cmd_extreme_ip(args, mode: str) -> int:
-    seed = _resolve_seed(args)
-    ds = _load_ds(args)
-    cfg = _config(args, seed)
-    ri, bi, val = reductions.extreme_inner_product(
-        ds, mode, cfg, np.random.default_rng(seed)
-    )
-    rec = {"command": f"{mode}-ip", "red": ri, "blue": bi, "value": val}
-    if args.oracle:
-        _, _, oval = reductions.extreme_inner_product_bruteforce(ds, mode)
-        rec["oracle_value"] = oval
+        _, _, oval = oracle(ds)
+        rec["oracle_" + value] = oval
         rec["agrees"] = val == oval
     _emit(args, [rec, {"meta": {"seed": seed}}])
     return 0
@@ -352,18 +317,34 @@ def _cmd_orthogonal(args) -> int:
     return 0
 
 
-def _cmd_jaccard(args) -> int:
-    seed = _resolve_seed(args)
-    ds = _load_ds(args)
-    cfg = _config(args, seed)
-    ri, bi, coeff = reductions.max_jaccard_pair(ds, cfg, np.random.default_rng(seed))
-    rec = {"command": "jaccard", "red": ri, "blue": bi, "coefficient": str(coeff)}
-    if args.oracle:
-        _, _, ocoeff = reductions.max_jaccard_bruteforce(ds)
-        rec["oracle_coefficient"] = str(ocoeff)
-        rec["agrees"] = coeff == ocoeff
-    _emit(args, [rec, {"meta": {"seed": seed}}])
-    return 0
+_min_ip = functools.partial(reductions.extreme_inner_product, mode="min")
+_max_ip = functools.partial(reductions.extreme_inner_product, mode="max")
+_min_ip_oracle = functools.partial(reductions.extreme_inner_product_bruteforce, mode="min")
+_max_ip_oracle = functools.partial(reductions.extreme_inner_product_bruteforce, mode="max")
+
+# The search commands that take only their inputs and the pipeline flags:
+# (name, help, input flags, body).
+_SEARCH_COMMANDS = (
+    ("batch-nn", "batch Hamming nearest neighbors", ("--db", "--queries"),
+     lambda a: _cmd_nn(a, _load_vectors, neighbors.batch_nn, neighbors.batch_nn_bruteforce)),
+    ("l1-batch-nn", "batch l1 nearest neighbors (bounded integer vectors)", ("--db", "--queries"),
+     lambda a: _cmd_nn(
+         a, _load_int_vectors, reductions.l1_batch_nn, reductions.l1_batch_nn_bruteforce
+     )),
+    ("furthest-pair", "bichromatic furthest pair", ("--input",),
+     lambda a: _cmd_pair(
+         a, "furthest-pair", reductions.furthest_pair, reductions.furthest_pair_bruteforce, "dist"
+     )),
+    ("min-ip", "minimum inner product pair", ("--input",),
+     lambda a: _cmd_pair(a, "min-ip", _min_ip, _min_ip_oracle, "value")),
+    ("max-ip", "maximum inner product pair", ("--input",),
+     lambda a: _cmd_pair(a, "max-ip", _max_ip, _max_ip_oracle, "value")),
+    ("orthogonal", "find a red-blue pair with inner product zero", ("--input",), _cmd_orthogonal),
+    ("jaccard", "maximum Jaccard coefficient pair", ("--input",),
+     lambda a: _cmd_pair(
+         a, "jaccard", reductions.max_jaccard_pair, reductions.max_jaccard_bruteforce, "coefficient"
+     )),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +432,12 @@ def build_parser() -> _Parser:
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_closest_pair)
 
-    p = sub.add_parser("batch-nn", help="batch Hamming nearest neighbors")
-    p.add_argument("--db", required=True)
-    p.add_argument("--queries", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_batch_nn)
-
-    p = sub.add_parser("l1-batch-nn", help="batch l1 nearest neighbors (bounded integer vectors)")
-    p.add_argument("--db", required=True)
-    p.add_argument("--queries", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_l1_batch_nn)
-
-    p = sub.add_parser("furthest-pair", help="bichromatic furthest pair")
-    p.add_argument("--input", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_furthest)
-
-    p = sub.add_parser("min-ip", help="minimum inner product pair")
-    p.add_argument("--input", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=lambda a: _cmd_extreme_ip(a, "min"))
-
-    p = sub.add_parser("max-ip", help="maximum inner product pair")
-    p.add_argument("--input", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=lambda a: _cmd_extreme_ip(a, "max"))
-
-    p = sub.add_parser("orthogonal", help="find a red-blue pair with inner product zero")
-    p.add_argument("--input", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_orthogonal)
-
-    p = sub.add_parser("jaccard", help="maximum Jaccard coefficient pair")
-    p.add_argument("--input", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_jaccard)
+    for name, text, inputs, func in _SEARCH_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        _add_pipeline_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bench", help="wall-clock timings, CSV output")
     p.add_argument("--sizes", type=_positive_ints, default="128,256")

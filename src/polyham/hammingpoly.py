@@ -81,16 +81,6 @@ class GroupPredicateSpec:
                 f"need 0 <= k < d, got k={self.k}, d={self.d}"
             )
 
-    @property
-    def nvars(self) -> int:
-        return 2 * self.s * self.d
-
-    def x_var(self, i: int, t: int) -> int:
-        return i * self.d + t
-
-    def y_var(self, j: int, t: int) -> int:
-        return self.s * self.d + j * self.d + t
-
 
 def inner_error_budget(s: int) -> Fraction:
     """1/s^3, clamped below 1 so the threshold spec stays valid at s = 1."""

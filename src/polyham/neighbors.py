@@ -116,9 +116,6 @@ class NNResult:
     entries: tuple[tuple[int, int, int], ...]
     meta: dict = field(compare=False)
 
-    def distances(self) -> list[int]:
-        return [d for _, _, d in self.entries]
-
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles

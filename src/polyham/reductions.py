@@ -11,6 +11,11 @@ All reductions are exact transformations:
                   IP/(d1 + d2 - IP) is increasing in IP, so the bucket's
                   best pair is its maximum-inner-product pair.
 
+Inner product and Jaccard share one bucket walk: each side is packed once,
+every weight-bucket pair is solved on index slices of the packed sides (the
+blues complemented for a furthest pair), and every bucket winner's distance
+is recomputed from the vectors before it competes.
+
 Every witness is re-verified by direct computation before it is returned,
 matching the one-sided soundness discipline of the neighbor solvers.  Each
 solver has a brute-force oracle twin for differential testing.
@@ -25,14 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InvalidParametersError, ParseError, VerificationError
-from .neighbors import (
-    ClosestPairConfig,
-    NNResult,
-    _closest_pair_packed,
-    batch_nn,
-    closest_pair,
+from .neighbors import ClosestPairConfig, NNResult, _closest_pair_packed, batch_nn
+from .vectors import (
+    BitVector,
+    Dataset,
+    hamming_distance,
+    inner_product,
+    pack_vectors,
+    parse_decimal,
 )
-from .vectors import BitVector, Dataset, hamming_distance, inner_product, pack_vectors
 
 __all__ = [
     "IntVector",
@@ -172,15 +178,43 @@ def furthest_pair_bruteforce(ds: Dataset) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Extreme inner products via weight buckets
+# Extreme inner products and Jaccard via weight buckets
 # ---------------------------------------------------------------------------
 
 
-def _weight_buckets(vectors: Sequence[BitVector]) -> dict[int, list[int]]:
-    buckets: dict[int, list[int]] = {}
-    for i, v in enumerate(vectors):
-        buckets.setdefault(v.weight(), []).append(i)
-    return buckets
+def _bucket_winners(
+    ds: Dataset, mode: str, cfg: ClosestPairConfig, rng, solve_empty: bool = True
+):
+    """Each weight-bucket pair's closest ("max") or furthest ("min") pair.
+
+    Yields (red, blue) per bucket pair in increasing (I, J) order.  Each
+    side is packed once, and a bucket pair is solved on index slices of the
+    packed sides, with the blues complemented for "min"; the winner's
+    distance is recomputed from the vectors.  Without ``solve_empty`` a
+    bucket pair with a weight-0 side yields its first pair unsolved.
+    """
+    red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
+    red_w, blue_w = (np.bitwise_count(side).sum(axis=1) for side in (red, blue))
+    blue_buckets = [(wj, np.flatnonzero(blue_w == wj)) for wj in np.unique(blue_w)]
+    if mode == "min":
+        blue = blue ^ pack_vectors([BitVector.ones(ds.dim)], ds.dim)
+    for wi in np.unique(red_w):
+        ridx = np.flatnonzero(red_w == wi)
+        for wj, bidx in blue_buckets:
+            if not solve_empty and not (wi and wj):
+                yield int(ridx[0]), int(bidx[0])
+                continue
+            start = int(np.bitwise_count(red[ridx[0]] ^ blue[bidx[0]]).sum())
+            li, lj, dist = _closest_pair_packed(red[ridx], blue[bidx], ds.dim, start, cfg, rng)
+            ri, bj = int(ridx[li]), int(bidx[lj])
+            claimed = ds.dim - dist if mode == "min" else dist
+            true_dist = hamming_distance(ds.red[ri], ds.blue[bj])
+            if true_dist != claimed:
+                raise VerificationError(
+                    f"bucket ({wi}, {wj}) winner ({ri}, {bj}) is at distance {true_dist}, "
+                    f"but the solver's distance {dist} implies {claimed}"
+                )
+            yield ri, bj
 
 
 def extreme_inner_product(
@@ -200,30 +234,12 @@ def extreme_inner_product(
         raise InvalidParametersError(f"mode must be 'min' or 'max', got {mode!r}")
     if not ds.red or not ds.blue:
         raise EmptyInputError("inner product extremes need both colors nonempty")
-    red_buckets = _weight_buckets(ds.red)
-    blue_buckets = _weight_buckets(ds.blue)
-    best: tuple[int, int, int] | None = None
-    for wi in sorted(red_buckets):
-        ridx = red_buckets[wi]
-        for wj in sorted(blue_buckets):
-            bidx = blue_buckets[wj]
-            sub = Dataset(
-                ds.dim,
-                tuple(ds.red[i] for i in ridx),
-                tuple(ds.blue[j] for j in bidx),
-            )
-            if mode == "max":
-                li, lj, _ = closest_pair(sub, cfg, rng)
-            else:
-                li, lj, _ = furthest_pair(sub, cfg, rng)
-            ri, bj = ridx[li], bidx[lj]
-            ip = inner_product(ds.red[ri], ds.blue[bj])  # verified value
-            key_ip = -ip if mode == "max" else ip
-            cand = (key_ip, ri, bj)
-            if best is None or cand < best:
-                best = cand
-    ip = -best[0] if mode == "max" else best[0]
-    return best[1], best[2], ip
+    sign = -1 if mode == "max" else 1
+    key, ri, bj = min(
+        (sign * inner_product(ds.red[ri], ds.blue[bj]), ri, bj)  # verified value
+        for ri, bj in _bucket_winners(ds, mode, cfg, rng)
+    )
+    return ri, bj, sign * key
 
 
 def extreme_inner_product_bruteforce(ds: Dataset, mode: str) -> tuple[int, int, int]:
@@ -254,11 +270,6 @@ def find_orthogonal_pair(
     return ri, bi
 
 
-# ---------------------------------------------------------------------------
-# Jaccard via cardinality buckets
-# ---------------------------------------------------------------------------
-
-
 def jaccard_coefficient(u: BitVector, v: BitVector) -> Fraction:
     """|intersection| / |union| as an exact rational; both-empty is 1."""
     inter = inner_product(u, v)
@@ -276,43 +287,17 @@ def max_jaccard_pair(
     """Pair of sets (indicator vectors) with maximum Jaccard coefficient.
 
     Per cardinality bucket pair the coefficient IP/(d1 + d2 - IP) is
-    strictly increasing in IP, so each bucket contributes its max-IP pair;
-    the empty-vs-empty bucket contributes coefficient 1 by convention.
+    strictly increasing in IP, so each bucket contributes its max-IP pair.
+    A bucket with an empty side is not solved: every pair in it has the
+    same coefficient, 1 for empty-vs-empty by convention and 0 otherwise.
     """
     if not ds.red or not ds.blue:
         raise EmptyInputError("Jaccard needs both colors nonempty")
-    red_buckets = _weight_buckets(ds.red)
-    blue_buckets = _weight_buckets(ds.blue)
-    best: tuple[Fraction, int, int] | None = None
-
-    def consider(coeff: Fraction, ri: int, bj: int):
-        nonlocal best
-        if (
-            best is None
-            or coeff > best[0]
-            or (coeff == best[0] and (ri, bj) < (best[1], best[2]))
-        ):
-            best = (coeff, ri, bj)
-
-    for d1 in sorted(red_buckets):
-        ridx = red_buckets[d1]
-        for d2 in sorted(blue_buckets):
-            bidx = blue_buckets[d2]
-            if d1 == 0 and d2 == 0:
-                consider(Fraction(1), ridx[0], bidx[0])
-                continue
-            if d1 == 0 or d2 == 0:
-                consider(Fraction(0), ridx[0], bidx[0])
-                continue
-            sub = Dataset(
-                ds.dim,
-                tuple(ds.red[i] for i in ridx),
-                tuple(ds.blue[j] for j in bidx),
-            )
-            li, lj, _ = closest_pair(sub, cfg, rng)
-            ri, bj = ridx[li], bidx[lj]
-            consider(jaccard_coefficient(ds.red[ri], ds.blue[bj]), ri, bj)
-    return best[1], best[2], best[0]
+    key, ri, bj = min(
+        (-jaccard_coefficient(ds.red[ri], ds.blue[bj]), ri, bj)
+        for ri, bj in _bucket_winners(ds, "max", cfg, rng, solve_empty=False)
+    )
+    return ri, bj, -key
 
 
 def max_jaccard_bruteforce(ds: Dataset) -> tuple[int, int, Fraction]:
@@ -329,7 +314,7 @@ def max_jaccard_bruteforce(ds: Dataset) -> tuple[int, int, Fraction]:
 
 # ---------------------------------------------------------------------------
 # Bounded-integer vector file format: "m=<int>" header, one CSV row per
-# vector, "#" comments.
+# vector, "#" comments; every number is decimal digits.
 # ---------------------------------------------------------------------------
 
 
@@ -345,14 +330,14 @@ def load_int_vectors(text: str) -> list[IntVector]:
             if m is not None:
                 raise ParseError("duplicate m= header", lineno)
             try:
-                m = int(line[2:])
+                m = parse_decimal(line[2:])
             except ValueError:
                 raise ParseError(f"bad bound {line[2:]!r}", lineno) from None
             continue
         if m is None:
             raise ParseError("vector row before m= header", lineno)
         try:
-            entries = tuple(int(tok) for tok in line.split(","))
+            entries = tuple(parse_decimal(tok) for tok in line.split(","))
         except ValueError:
             raise ParseError(f"bad integer row {line!r}", lineno) from None
         try:

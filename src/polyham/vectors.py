@@ -28,8 +28,10 @@ from .errors import DimensionMismatchError, EmptyInputError, ParseError
 
 WORD_BITS = 64
 
-# int(s, 2) alone also takes "0b101", "1_0", "+1" and surrounding spaces
+# int() alone also takes "0b101", "0x1", "1_0", "+1" and surrounding spaces
 _BITS01 = re.compile("[01]+")
+_HEX = re.compile("[0-9a-fA-F]+")
+_DIGITS = re.compile("[0-9]+")
 
 __all__ = [
     "BitVector",
@@ -131,8 +133,13 @@ class BitVector:
         width = (dim + 3) // 4
         if len(s) != width:
             raise ValueError(f"expected {width} hex digits for dim={dim}, got {len(s)}")
-        bit_str = format(int(s, 16), f"0{width * 4}b")[:dim]
-        return cls.from_string(bit_str)
+        if not _HEX.fullmatch(s):
+            raise ValueError(f"not a hex string: {s!r}")
+        pad = 4 * width - dim
+        value = int(s, 16)
+        if value & ((1 << pad) - 1):
+            raise ValueError(f"{s!r} sets padding bits past dim={dim}")
+        return cls.from_string(format(value >> pad, f"0{dim}b"))
 
     def __iter__(self) -> Iterator[int]:
         b = self.bits
@@ -180,16 +187,6 @@ def complement(u: BitVector) -> BitVector:
     return BitVector(u.dim, u.bits ^ ((1 << u.dim) - 1))
 
 
-def concat(vectors: Sequence[BitVector]) -> BitVector:
-    """Concatenate vectors into one, first vector in the low coordinates."""
-    acc = 0
-    total = 0
-    for v in vectors:
-        acc |= v.bits << total
-        total += v.dim
-    return BitVector(total, acc)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Red and blue vector collections sharing one dimension.
@@ -223,11 +220,21 @@ class Dataset:
 #
 # text01:  line "R", one 0/1 string per red vector, line "B", blue vectors.
 #          All vector lines share one length; "#" starts a comment line.
-# hex:     header line "dim=<d>", then the same R/B structure with vectors
-#          written as lowercase hex (coordinate string read MSB-first).
+# hex:     header line "dim=<d>" in decimal digits, then the same R/B
+#          structure with vectors written as lowercase hex (coordinate
+#          string read MSB-first); only hex digits are read, and the
+#          padding bits past d must be zero.
 # ---------------------------------------------------------------------------
 
 FORMATS = ("text01", "hex")
+
+
+def parse_decimal(token: str) -> int:
+    """A non-negative integer written in decimal digits; surrounding spaces
+    are allowed, signs and underscores are not."""
+    if not _DIGITS.fullmatch(token.strip()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def load_dataset(source: str | bytes | IO, format: str = "text01") -> Dataset:
@@ -262,7 +269,7 @@ def load_dataset(source: str | bytes | IO, format: str = "text01") -> Dataset:
             if dim is not None:
                 raise ParseError("duplicate dim= header", lineno)
             try:
-                dim = int(line[4:])
+                dim = parse_decimal(line[4:])
             except ValueError:
                 raise ParseError(f"bad dimension {line[4:]!r}", lineno) from None
             if dim <= 0:

@@ -196,6 +196,16 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_strict_number_tokens_are_parse_errors(tmp_path, capsys):
+    f, db = tmp_path / "bad.hex", tmp_path / "db.csv"
+    f.write_text("dim=10\nR\nfff\nB\n000\n")
+    code, _, err = run_cli(capsys, "max-ip", "--input", str(f), "--format", "hex")
+    assert code == 2 and "line 3" in err
+    db.write_text("m=+3\n1,2\n")
+    code, _, err = run_cli(capsys, "l1-batch-nn", "--db", str(db), "--queries", str(db))
+    assert code == 2 and "line 1" in err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, _ = run_cli(capsys, "closest-pair", "--input", "/no/such/file")
     assert code == 2
@@ -298,3 +308,48 @@ def test_hex_format_roundtrip_via_cli(tmp_path, capsys):
     )
     assert code == 0
     assert jsonl(out)[0]["agrees"] is True
+
+
+# recorded before the pair and nearest-neighbor commands shared one body each
+CLI_DIGEST = "9bcfa82615ae1b2c6c313f42f4aac6f7afd730f90022d39c2080ec4bc0c94ff4"
+
+
+def _cli_transcript(tmp_path, capsys):
+    import numpy as np
+
+    from polyham.reductions import IntVector, dump_int_vectors
+
+    ds, ds_hex = tmp_path / "ds.txt", tmp_path / "ds.hex"
+    db, q = tmp_path / "db.txt", tmp_path / "q.txt"
+    run_cli(capsys, "gen", "--n", "11", "--d", "5", "--seed", "21", "--out", str(ds))
+    run_cli(
+        capsys, "gen", "--n", "6", "--d", "9", "--seed", "22", "--format", "hex", "--out", str(ds_hex)
+    )
+    run_cli(capsys, "gen", "--n", "7", "--d", "5", "--seed", "23", "--out", str(db))
+    run_cli(capsys, "gen", "--n", "5", "--d", "5", "--seed", "24", "--out", str(q))
+    rng = np.random.default_rng(25)
+    l1db, l1q = tmp_path / "db.csv", tmp_path / "q.csv"
+    for f, n in ((l1db, 9), (l1q, 6)):
+        f.write_text(dump_int_vectors(
+            [IntVector(tuple(int(e) for e in rng.integers(0, 3, 3)), 2) for _ in range(n)]
+        ))
+    commands = [
+        [sub, "--input", str(ds)]
+        for sub in ("furthest-pair", "min-ip", "max-ip", "jaccard", "orthogonal")
+    ]
+    commands += [["max-ip", "--input", str(ds_hex), "--format", "hex"]]
+    commands += [["batch-nn", "--db", str(db), "--queries", str(q)]]
+    commands += [["l1-batch-nn", "--db", str(l1db), "--queries", str(l1q)]]
+    transcript = []
+    for argv in commands:
+        for extra in ([], ["--oracle"], ["--pretty"], ["--s", "2"], ["--s", "2", "--oracle"]):
+            code, out, _ = run_cli(capsys, *argv, "--seed", "3", *extra)
+            transcript.append(f"{code}\n{out}")
+    return "".join(transcript).replace(str(tmp_path), "<tmp>")
+
+
+def test_reduction_and_nn_output_digest(tmp_path, capsys):
+    import hashlib
+
+    text = _cli_transcript(tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGEST

@@ -119,3 +119,65 @@ def test_pipeline_answer_digest():
             batch_nn(ds.red, ds.blue, cfg, op_rng()).entries,
         ))
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == ANSWERS_DIGEST
+
+
+# (s, d, reds, blues, data seed, zero rows): ragged sides; with zero rows
+# (a, b), every a-th red and every b-th blue from the a-th and b-th on is
+# the zero vector (0: none), so weight-0 buckets meet the other side's
+# buckets.  The l1 instances are unary codes of bound 2 in dimension 3.
+REDUCTION_CASES = (
+    ("auto", 6, 13, 9, 701, (3, 4)),
+    ("auto", 70, 8, 11, 702, (0, 0)),
+    (1, 5, 11, 14, 703, (3, 0)),
+    (1, 6, 6, 17, 704, (0, 0)),
+    (1, 8, 10, 12, 707, (0, 0)),
+    (2, 4, 15, 10, 705, (0, 4)),
+    (2, 5, 9, 7, 706, (3, 4)),
+)
+# recorded before the reductions walked their weight buckets in one generator
+REDUCTIONS_DIGEST = "54e10546d436afa870f52edbc48ad2f2727b3926ae62d30837b4b4b404aa98df"
+
+
+def _reduction_answers():
+    from polyham.reductions import (
+        IntVector,
+        extreme_inner_product,
+        find_orthogonal_pair,
+        l1_batch_nn,
+        max_jaccard_pair,
+    )
+
+    answers = []
+    for s, d, n_red, n_blue, seed, (red_zeros, blue_zeros) in REDUCTION_CASES:
+        rng = np.random.default_rng(seed)
+
+        def side(n, every):
+            return tuple(
+                BitVector.zeros(d) if every and i % every == every - 1 else BitVector.random(rng, d)
+                for i in range(n)
+            )
+
+        ds = Dataset(d, side(n_red, red_zeros), side(n_blue, blue_zeros))
+        db = [IntVector(tuple(int(e) for e in rng.integers(0, 3, 3)), 2) for _ in range(n_red)]
+        queries = [IntVector((0, 0, 0), 2)] + db[1::2]
+        cfg = ClosestPairConfig(s=s, rounds=7)
+
+        calls = (
+            lambda r: extreme_inner_product(ds, "max", cfg, r),
+            lambda r: extreme_inner_product(ds, "min", cfg, r),
+            lambda r: find_orthogonal_pair(ds, cfg, r),
+            lambda r: max_jaccard_pair(ds, cfg, r),
+            lambda r: l1_batch_nn(db, queries, cfg, r).entries,
+        )
+        for call in calls:
+            op_rng = np.random.default_rng(seed + 1000)
+            # the trailing draw pins how much of the stream the call took
+            answers.append((call(op_rng), int(op_rng.integers(1 << 62))))
+    return answers
+
+
+def test_reductions_answer_digest():
+    import hashlib
+
+    answers = _reduction_answers()
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == REDUCTIONS_DIGEST

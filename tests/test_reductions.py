@@ -160,6 +160,20 @@ def test_furthest_pair_wrong_witness_raises(monkeypatch):
         furthest_pair(ds, BRUTE_CFG)
 
 
+def test_bucket_winner_with_a_wrong_distance_raises(monkeypatch):
+    ds = Dataset.from_lists([bv("110")], [bv("011")])
+    # the one bucket's pair is at distance 2: in max mode the claimed 3 is
+    # wrong, and in min mode the complemented 3 claims distance 0
+    monkeypatch.setattr("polyham.reductions._closest_pair_packed", lambda *args: (0, 0, 3))
+    for solve in (
+        lambda: extreme_inner_product(ds, "max", BRUTE_CFG),
+        lambda: extreme_inner_product(ds, "min", BRUTE_CFG),
+        lambda: max_jaccard_pair(ds, BRUTE_CFG),
+    ):
+        with pytest.raises(VerificationError):
+            solve()
+
+
 def test_furthest_pair_matches_oracle():
     # the blues are complemented on packed words: 65 and 130 end in a
     # partial word, 130 has three
@@ -360,3 +374,26 @@ def test_int_vector_parse_errors():
         load_int_vectors("m=3\n1,9\n")  # out of range
     with pytest.raises(ParseError):
         load_int_vectors("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("m=+3\n1,2\n", 1),
+        ("m=1_0\n1,2\n", 1),
+        ("m=0x3\n1,2\n", 1),
+        ("m=20\n1,2\n1_0,2\n", 3),
+        ("m=3\n+1,2\n", 2),
+        ("m=3\n1,-0\n", 2),
+        ("m=3\n1,\n", 2),
+    ],
+)
+def test_int_vectors_take_only_decimal_digits(text, line):
+    # int() alone accepts a sign, underscores and surrounding spaces
+    with pytest.raises(ParseError) as exc:
+        load_int_vectors(text)
+    assert exc.value.line == line
+
+
+def test_int_vectors_allow_surrounding_spaces():
+    assert load_int_vectors(" m= 3 \n 1 , 2 \n") == [IntVector((1, 2), 3)]

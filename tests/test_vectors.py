@@ -129,6 +129,34 @@ def test_from_string_takes_only_zeros_and_ones(s):
         BitVector.from_string(s)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("dim=8\nR\n+1\nB\n", 3),
+        ("dim=12\nR\n000\n1_2\nB\n", 4),
+        ("dim=12\nR\nB\n0x1\n", 4),
+        ("dim=8\nR\n 0f\n-1\nB\n", 4),
+        ("dim=10\nR\nfff\nB\n", 3),  # the two padding bits are set
+        ("dim=10\nR\nffc\nB\n001\n", 5),  # 001 sets one padding bit
+        ("dim=1_0\nR\nB\n", 1),
+        ("dim=+10\nR\nB\n", 1),
+        ("dim=0x8\nR\nB\n", 1),
+    ],
+)
+def test_hex_takes_only_hex_digits_and_zero_padding(text, line):
+    # int(s, 16) alone accepts "+1", "1_2" and "0x1", and reading fff at
+    # dim 10 would drop its set padding bits
+    with pytest.raises(ParseError) as exc:
+        load_dataset(text, "hex")
+    assert exc.value.line == line
+
+
+def test_hex_allows_surrounding_spaces_and_both_cases():
+    ds = load_dataset(" dim= 10 \nR\n FFC \nB\n\t004\n", "hex")
+    assert ds.red == (BitVector.ones(10),)
+    assert ds.blue == (BitVector.from_string("0000000001"),)
+
+
 def test_missing_section_header():
     with pytest.raises(ParseError):
         load_dataset("R\n010\n")
