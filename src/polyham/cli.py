@@ -6,8 +6,9 @@ timing harness.  Output is JSON lines (one record per line, sorted keys) or
 CSV for ``bench``; ``--pretty`` switches to indented JSON for humans.
 
 Every randomized run is reproducible from (seed, flags, input files); when
-``--seed`` is absent the POLYHAM_SEED environment variable is used, then 0;
-a seed that is not a non-negative integer is a usage error.
+``--seed`` is absent the POLYHAM_SEED environment variable is used, then 0.
+Every integer flag and the seed take decimal digits only, the rule of the
+file formats; any other token is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 resource or
 budget error, 4 verification failure.
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .neighbors import ClosestPairConfig
 from .probpoly import ThresholdSpec
-from .vectors import BitVector, Dataset, dump_dataset, load_dataset
+from .vectors import BitVector, Dataset, dump_dataset, load_dataset, parse_decimal
 
 __all__ = ["main", "run"]
 
@@ -52,21 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    """--seed, else POLYHAM_SEED, else 0; a seed is a non-negative integer."""
+    """--seed, else POLYHAM_SEED, else 0, read as the other integer flags."""
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
+        text, source = args.seed, "--seed"
     else:
-        env = os.environ.get("POLYHAM_SEED")
-        if not env:
+        text, source = os.environ.get("POLYHAM_SEED"), "POLYHAM_SEED"
+        if not text:
             return 0
-        source = "POLYHAM_SEED"
-        try:
-            seed = int(env)
-        except ValueError:
-            raise _UsageError(f"{source} is not an integer: {env!r}") from None
-    if seed < 0:
-        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise _UsageError(f"{source} must be a non-negative integer, got {text!r}") from None
 
 
 def _emit(args, records) -> None:
@@ -100,14 +97,23 @@ def _fraction(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r}") from None
 
 
+def _decimal(text: str, least: int = 0) -> int:
+    """An integer flag >= least, in decimal digits as in the file formats."""
+    try:
+        value = parse_decimal(text)
+    except ValueError:
+        value = -1
+    if value < least:
+        what = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"not a {what} integer: {text!r}")
+    return value
+
+
+_positive_int = functools.partial(_decimal, least=1)
+
+
 def _int_or_auto(text: str):
-    return "auto" if text == "auto" else int(text)
-
-
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+    return "auto" if text == "auto" else _decimal(text)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -133,8 +139,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rounds", type=_int_or_auto, default="auto", help="amplification rounds or 'auto'"
     )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
+    p.add_argument("--seed", default=None)
+    p.add_argument("--budget", type=_decimal, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
     p.add_argument("--brute-force", action="store_true", help="force exact brute force")
     p.add_argument("--oracle", action="store_true", help="also run brute force and report agreement")
     p.add_argument("--pretty", action="store_true")
@@ -398,37 +404,37 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("uniform", "planted"), default="uniform")
     p.add_argument("--n", type=_positive_int, required=True, help="vectors per color")
     p.add_argument("--d", type=_positive_int, required=True, help="dimension")
-    p.add_argument("--planted-distance", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--planted-distance", type=_decimal, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--format", choices=("text01", "hex"), default="text01")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sample-poly", help="sample a threshold polynomial and report it")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--theta", default="1/2")
     p.add_argument("--eps", default="1/10")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--expand", action="store_true")
-    p.add_argument("--budget", type=int, default=probpoly.EXPANSION_BUDGET_DEFAULT)
+    p.add_argument("--budget", type=_decimal, default=probpoly.EXPANSION_BUDGET_DEFAULT)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample_poly)
 
     p = sub.add_parser("verify-error", help="statistically verify the error guarantee")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--theta", default="1/2")
     p.add_argument("--eps", default="1/10")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--random-inputs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--random-inputs", type=_decimal, default=10)
+    p.add_argument("--seed", default=None)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_error)
 
     p = sub.add_parser("closest-pair", help="bichromatic closest pair (or decision with --k)")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_decimal, default=None)
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_closest_pair)
 
@@ -443,8 +449,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", type=_positive_ints, default="128,256")
     p.add_argument("--dims", type=_positive_ints, default="8,16")
     p.add_argument("--mode", choices=("poly", "brute", "both"), default="both")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
+    p.add_argument("--seed", default=None)
+    p.add_argument("--budget", type=_decimal, default=neighbors.MONOMIAL_BUDGET_DEFAULT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

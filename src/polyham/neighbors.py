@@ -29,9 +29,9 @@ The exact scans reduce the distance tiles of ``vectors.distance_tiles`` to
 a running nearest row per column as they come, and the candidate member
 pairs of flagged cells are verified through
 ``vectors.packed_distance_matrix``, the consumer that keeps every distance.
-Distance search uses a shrinking binary search over the decision oracle;
-the batch solver follows the descending-distance retirement scheme, one
-close-pair oracle call at a time per group pair.
+A decision reports each blue's least verified (distance, red).  Distance
+search is a shrinking binary search over its best pair; the batch solver
+makes one decision per distance level, upward, over the unmatched queries.
 
 Ties everywhere resolve to the smallest red/database index, then the
 smallest blue/query index, matching the brute-force oracles.
@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 MONOMIAL_BUDGET_DEFAULT = 1 << 20
+NO_PAIR = (1 << 63) - 1  # a decision's key for a blue with no verified pair
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,8 @@ def _poly_close_pair(
     s: int,
     rounds: int,
     rng: np.random.Generator,
-) -> tuple[int, int, int] | None:
-    """Grouped majority-vote pipeline; returns a verified best pair or None.
+) -> np.ndarray:
+    """Grouped majority-vote pipeline; each blue's verified key.
 
     The plan admits only d <= 32 with an exact inner circuit, so every draw
     shares one block polynomial over 2d bits and a member is one word: red
@@ -339,6 +340,10 @@ def _poly_close_pair(
     candidates are the member pairs of flagged cells whose value is 0 (a 1
     rules a pair out only because the block is exact), and a recomputed
     distance within k is the only thing that lets one through.
+
+    Returns one int64 per blue b: (d*nr + r)*nb + b for its least verified
+    (distance d, red r), or ``NO_PAIR``; :func:`_least_pair` reads the
+    decision's best pair from it.
     """
     spec = GroupPredicateSpec(s, dim, k)
     first = sample_hamming_poly(spec, rng)
@@ -361,7 +366,7 @@ def _poly_close_pair(
     # A candidate's bytes: its flat, red and blue indices, two gathered rows
     # with their XOR words and popcounts, its distance and its key.
     step = max(1, DISTANCE_BUDGET_BYTES // (48 + 25 * red_packed.shape[1]))
-    best = math.inf  # the least (dist, red, blue) as the key (dist*nr + red)*nb + blue
+    best = np.full(nb, NO_PAIR, dtype=np.int64)
     for g0 in range(0, n_red, rows):
         groups = min(rows, n_red - g0)
         ridx = _block_major(nr, s, g0, groups)
@@ -378,13 +383,18 @@ def _poly_close_pair(
                 continue
             r, b = ridx[r], cols[b]
             d = packed_distance_matrix(red_packed[r, None], blue_packed[b, None])[:, 0, 0]
-            key = ((d * nr + r) * nb + b)[d <= k]  # int64: d <= 32, so no overflow
-            if len(key):
-                best = min(best, int(key.min()))
-    if best == math.inf:
+            near = d <= k  # keys are int64: d <= 32, so no overflow
+            np.minimum.at(best, b[near], ((d * nr + r) * nb + b)[near])
+    return best
+
+
+def _least_pair(keys: np.ndarray, nr: int) -> tuple[int, int, int] | None:
+    """(red, blue, dist) of a decision's least key, or None if it has none."""
+    best = int(keys.min())
+    if best == NO_PAIR:
         return None
-    d, rest = divmod(best, nr * nb)
-    return (*divmod(rest, nb), d)
+    d, rest = divmod(best, nr * len(keys))
+    return (*divmod(rest, len(keys)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +423,7 @@ def bichromatic_close_pair(
     red, blue = pack_vectors(ds.red, ds.dim), pack_vectors(ds.blue, ds.dim)
     if engaged:
         rounds = _resolve_rounds(max(len(ds.red), len(ds.blue)), cfg)
-        res = _poly_close_pair(red, blue, ds.dim, k, s, rounds, rng)
+        res = _least_pair(_poly_close_pair(red, blue, ds.dim, k, s, rounds, rng), len(red))
     else:
         res = _brute_close_pair(red, blue, k)
     if res is None:
@@ -455,7 +465,7 @@ def _closest_pair_packed(
     lo, hi = 0, start
     while lo < hi:
         mid = (lo + hi) // 2
-        res = _poly_close_pair(red, blue, dim, mid, s, rounds, rng)
+        res = _least_pair(_poly_close_pair(red, blue, dim, mid, s, rounds, rng), len(red))
         if res is not None:
             best = res
             hi = res[2]
@@ -472,13 +482,13 @@ def batch_nn(
 ) -> NNResult:
     """Nearest database vector for every query, whp, with verified witnesses.
 
-    Both sides split into groups of ceil(sqrt(n)); distance levels run from
-    dim-1 down to 0, and at each level the close-pair oracle is called per
-    group pair until exhausted, retiring each matched query for the rest of
-    the level.  A query's final table value is the verified distance of its
-    last (smallest-level) match.  Queries never matched anywhere get an
-    exact scan so that every reported distance is the distance of the
-    reported pair.
+    Distance levels run upward from k = 0, one decision per level over the
+    whole database and the unmatched queries (``meta["decisions"]`` counts
+    them); a query with verified candidates takes its least (distance,
+    database index), the brute-force tie rule, and retires.  Flagged cells
+    hold only pairs within k, so it is nearest unless a lower level missed
+    it.  An exact scan answers the queries never matched.  ``rounds`` is
+    planned for sides of max(|db|, |queries|); ``inner_group_size`` is s.
     """
     if not db:
         raise EmptyInputError("batch NN needs a nonempty database")
@@ -489,62 +499,45 @@ def batch_nn(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     nd, nq = len(db), len(queries)
-    n = max(nd, nq)
-    s_group = max(1, math.ceil(math.sqrt(n)))
-    # the plan of one decision, whose sides hold s_group vectors
-    plan = pipeline_info(s_group, dim, cfg)
-    engaged, s_inner, rounds = plan["engaged"], plan["group_size"], plan["rounds"]
-    max_dist = dim
-
+    plan = pipeline_info(max(nd, nq), dim, cfg)  # a decision's sides: db x queries
+    engaged, s, rounds = plan["engaged"], plan["group_size"], plan["rounds"]
     meta = {
         "mode": "poly" if engaged else "exact",
         "reason": plan["reason"],
-        "group_size": s_group,
-        "inner_group_size": s_inner if engaged else None,
+        "inner_group_size": s if engaged else None,
         "rounds": rounds,
         "seed": cfg.seed,
-        "max_distance": max_dist,
+        "max_distance": dim,
+        "decisions": 0,
     }
     if not engaged:
-        # The exact oracle's level loop leaves every query at its nearest
-        # database vector, smallest index on ties; only a query whose
-        # nearest vector is at distance dim, which no level below dim
-        # matches, is left to the unmatched scan, with the same answer.
+        # the walk's answer with no miss: it leaves to the unmatched scan only
+        # the queries at distance dim from every vector, which no level matches
         entries = batch_nn_bruteforce(db, queries).entries
-        meta["decisions"] = 0
-        meta["unmatched_scans"] = sum(d == max_dist for _, _, d in entries)
+        meta["unmatched_scans"] = sum(d == dim for _, _, d in entries)
         return NNResult(entries, meta)
 
     meta["dimension_advisory_ok"] = plan["dimension_advisory_ok"]
-    meta["decisions"] = 0  # calls of the close-pair oracle
-    db_packed, q_packed = pack_vectors(db, dim), pack_vectors(queries, dim)
-    table = [max_dist] * nq
-    witness = [-1] * nq
-    for k in range(max_dist - 1, -1, -1):
-        # each query group's unmatched queries and their rows, for the level
-        acts = [list(range(q0, min(nq, q0 + s_group))) for q0 in range(0, nq, s_group)]
-        rows = [q_packed[q0 : q0 + s_group] for q0 in range(0, nq, s_group)]
-        for d0 in range(0, nd, s_group):
-            group = db_packed[d0 : d0 + s_group]
-            for g, act in enumerate(acts):
-                while act:
-                    meta["decisions"] += 1
-                    res = _poly_close_pair(group, rows[g], dim, k, s_inner, rounds, rng)
-                    if res is None:
-                        break
-                    li, lj, dist = res
-                    j = act.pop(lj)
-                    table[j] = dist
-                    witness[j] = d0 + li
-                    rows[g] = q_packed[act]
-
-    unmatched = [j for j in range(nq) if witness[j] < 0]
-    if unmatched:
-        nn, dist = _nearest_rows(db_packed, q_packed[unmatched])
-        for j, i, d in zip(unmatched, nn.tolist(), dist.tolist()):
-            witness[j] = i
-            table[j] = d
-    meta["unmatched_scans"] = len(unmatched)
-
-    entries = tuple((j, witness[j], table[j]) for j in range(nq))
-    return NNResult(entries, meta)
+    db_packed = pack_vectors(db, dim)
+    found = [None] * nq
+    left = list(range(nq))
+    for k in range(dim):
+        if not left:
+            break
+        meta["decisions"] += 1
+        side = pack_vectors([queries[j] for j in left], dim)
+        keys = _poly_close_pair(db_packed, side, dim, k, s, rounds, rng).tolist()
+        rest = []
+        for j, key in zip(left, keys):
+            if key == NO_PAIR:
+                rest.append(j)
+            else:  # key = (d*nd + i)*len(left) + position
+                d, i = divmod(key // len(left), nd)
+                found[j] = (j, i, d)
+        left = rest
+    if left:
+        scan = batch_nn_bruteforce(db, [queries[j] for j in left]).entries
+        for j, (_, i, d) in zip(left, scan):
+            found[j] = (j, i, d)
+    meta["unmatched_scans"] = len(left)
+    return NNResult(tuple(found), meta)

@@ -230,7 +230,7 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() != f3.read_bytes()
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "1_0", " +1_0", "١٢"])
 def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("POLYHAM_SEED", value)
     code, out, err = run_cli(capsys, "gen", "--n", "4", "--d", "4")
@@ -242,6 +242,32 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "gen", "--n", "4", "--d", "4", "--seed", "-1")
     assert (code, out) == (1, "")
     assert err.startswith("usage error: --seed")
+
+
+# Each integer flag takes only decimal digits, the rule of the file formats:
+# Python's int() would read "1_0" and " +1_0" as 10 and "١٢" as 12.
+@pytest.mark.parametrize("argv, flag", [
+    (("gen", "--n", "2", "--d", "3", "--seed", "1_0"), "--seed"),
+    (("gen", "--n", "2", "--d", "3", "--kind", "planted", "--planted-distance", " +1"),
+     "--planted-distance"),
+    (("gen", "--d", "3", "--n", "١٢"), "--n"),
+    (("sample-poly", "--n", "1_0"), "--n"),
+    (("sample-poly", "--n", "10", "--budget", "1_000"), "--budget"),
+    (("verify-error", "--n", "١٢"), "--n"),
+    (("verify-error", "--n", "10", "--trials", "1_0"), "--trials"),
+    (("verify-error", "--n", "10", "--random-inputs", " +1"), "--random-inputs"),
+    (("closest-pair", "--input", "ds.txt", "--k", "1_0"), "--k"),
+    (("closest-pair", "--input", "ds.txt", "--s", "١٢"), "--s"),
+    (("closest-pair", "--input", "ds.txt", "--rounds", " +1_0"), "--rounds"),
+    (("batch-nn", "--db", "db.txt", "--queries", "q.txt", "--seed", "١٢"), "--seed"),
+    (("bench", "--sizes", "8,١٢"), "--sizes"),
+    (("bench", "--budget", "1_0"), "--budget"),
+])
+def test_integer_flags_take_only_decimal_digits(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and flag in err.splitlines()[0]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,8 +336,12 @@ def test_hex_format_roundtrip_via_cli(tmp_path, capsys):
     assert jsonl(out)[0]["agrees"] is True
 
 
-# recorded before the pair and nearest-neighbor commands shared one body each
-CLI_DIGEST = "9bcfa82615ae1b2c6c313f42f4aac6f7afd730f90022d39c2080ec4bc0c94ff4"
+# the pair commands' output, recorded before the pair and nearest-neighbor
+# commands shared one body each
+PAIR_CLI_DIGEST = "c04389ff3560e922b5a58823eb2f1f989bcac213dd99d83b4296a6517f67d071"
+# the nearest-neighbor commands' output, recorded when a batch made one
+# decision per distance level
+NN_CLI_DIGEST = "6c376ccf2fe57a29425a275240c759137054dc7437c7713369733b4511fe0c0e"
 
 
 def _cli_transcript(tmp_path, capsys):
@@ -338,18 +368,25 @@ def _cli_transcript(tmp_path, capsys):
         for sub in ("furthest-pair", "min-ip", "max-ip", "jaccard", "orthogonal")
     ]
     commands += [["max-ip", "--input", str(ds_hex), "--format", "hex"]]
-    commands += [["batch-nn", "--db", str(db), "--queries", str(q)]]
-    commands += [["l1-batch-nn", "--db", str(l1db), "--queries", str(l1q)]]
-    transcript = []
-    for argv in commands:
-        for extra in ([], ["--oracle"], ["--pretty"], ["--s", "2"], ["--s", "2", "--oracle"]):
-            code, out, _ = run_cli(capsys, *argv, "--seed", "3", *extra)
-            transcript.append(f"{code}\n{out}")
-    return "".join(transcript).replace(str(tmp_path), "<tmp>")
+    nn_commands = [
+        ["batch-nn", "--db", str(db), "--queries", str(q)],
+        ["l1-batch-nn", "--db", str(l1db), "--queries", str(l1q)],
+    ]
+
+    def transcript(commands):
+        text = []
+        for argv in commands:
+            for extra in ([], ["--oracle"], ["--pretty"], ["--s", "2"], ["--s", "2", "--oracle"]):
+                code, out, _ = run_cli(capsys, *argv, "--seed", "3", *extra)
+                text.append(f"{code}\n{out}")
+        return "".join(text).replace(str(tmp_path), "<tmp>")
+
+    return transcript(commands), transcript(nn_commands)
 
 
 def test_reduction_and_nn_output_digest(tmp_path, capsys):
     import hashlib
 
-    text = _cli_transcript(tmp_path, capsys)
-    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGEST
+    pairs, nn = _cli_transcript(tmp_path, capsys)
+    assert hashlib.sha256(pairs.encode()).hexdigest() == PAIR_CLI_DIGEST
+    assert hashlib.sha256(nn.encode()).hexdigest() == NN_CLI_DIGEST

@@ -12,6 +12,7 @@ import pytest
 from polyham import BitVector, ClosestPairConfig, Dataset
 from polyham.neighbors import (
     batch_nn,
+    batch_nn_bruteforce,
     bichromatic_close_pair,
     closest_pair,
     pipeline_info,
@@ -23,7 +24,7 @@ GOLDEN = {
     "s1-d6": (1, 6, 30, 30, 501, {
         "closest": (0, 8, 0),
         "furthest": (2, 25, 6),
-        "nn": ((0, 0, 1), (1, 10, 0), (2, 0, 1), (3, 1, 2), (4, 6, 0), (5, 7, 1),
+        "nn": ((0, 0, 1), (1, 10, 0), (2, 0, 1), (3, 22, 1), (4, 6, 0), (5, 0, 1),
                (6, 9, 1), (7, 23, 0), (8, 0, 0), (9, 0, 1), (10, 3, 1), (11, 1, 0),
                (12, 0, 0), (13, 0, 1), (14, 22, 0), (15, 3, 1), (16, 8, 0), (17, 22, 1),
                (18, 7, 1), (19, 26, 0), (20, 16, 1), (21, 8, 0), (22, 8, 1), (23, 9, 1),
@@ -91,34 +92,70 @@ DIGEST_CASES = (
     (5, 4, 26, 11, 608),
     ("auto", 130, 21, 18, 606),
 )
-# recorded before a decision drew its coins in one call
-ANSWERS_DIGEST = "6a0434879c021adad7c7300f4f07c0b028162e5711055d28b72b68212b0e35c7"
+# the pair answers, recorded before a decision drew its coins in one call
+PAIRS_DIGEST = "d4d5cc4e124f253f8634ab2ae675112f2c0b407935f06dfd1405521dccd31ff3"
+# the batch answers, recorded when a batch made one decision per distance level
+BATCH_DIGEST = "320922444b5b6d2ba6e60dcaab687331f2691af4b92150276f1e0acfe2507365"
+
+
+def _random_dataset(d, n_red, n_blue, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        d,
+        tuple(BitVector.random(rng, d) for _ in range(n_red)),
+        tuple(BitVector.random(rng, d) for _ in range(n_blue)),
+    )
+
+
+def _digest_cases():
+    """(engaged, dataset, config, op seed) of every DIGEST_CASES case."""
+    for s, d, n_red, n_blue, seed in DIGEST_CASES:
+        ds = _random_dataset(d, n_red, n_blue, seed)
+        cfg = ClosestPairConfig(s=s, rounds=7)
+        engaged = pipeline_info(max(n_red, n_blue), d, cfg)["engaged"]
+        assert engaged == (s != "auto")
+        yield engaged, ds, cfg, seed + 1000
+
+
+def _digest(answers) -> str:
+    import hashlib
+
+    return hashlib.sha256(repr(answers).encode()).hexdigest()
 
 
 def test_pipeline_answer_digest():
-    import hashlib
-
-    answers = []
-    for s, d, n_red, n_blue, seed in DIGEST_CASES:
-        rng = np.random.default_rng(seed)
-        ds = Dataset(
-            d,
-            tuple(BitVector.random(rng, d) for _ in range(n_red)),
-            tuple(BitVector.random(rng, d) for _ in range(n_blue)),
-        )
-        cfg = ClosestPairConfig(s=s, rounds=7)
-        assert pipeline_info(max(n_red, n_blue), d, cfg)["engaged"] == (s != "auto")
+    pairs, batches = [], []
+    for _, ds, cfg, op_seed in _digest_cases():
 
         def op_rng():
-            return np.random.default_rng(seed + 1000)
+            return np.random.default_rng(op_seed)
 
-        answers.append((
+        pairs.append((
             closest_pair(ds, cfg, op_rng()),
             furthest_pair(ds, cfg, op_rng()),
             tuple(bichromatic_close_pair(ds, k, cfg, op_rng()) for k in (0, 1, 2)),
-            batch_nn(ds.red, ds.blue, cfg, op_rng()).entries,
         ))
-    assert hashlib.sha256(repr(answers).encode()).hexdigest() == ANSWERS_DIGEST
+        batches.append(batch_nn(ds.red, ds.blue, cfg, op_rng()).entries)
+    assert _digest(pairs) == PAIRS_DIGEST
+    assert _digest(batches) == BATCH_DIGEST
+
+
+def _engaged_batch_cases():
+    for s, d, n_red, n_blue, seed, _ in GOLDEN.values():
+        ds = _random_dataset(d, n_red, n_blue, seed)
+        yield ds, ClosestPairConfig(s=s, rounds=9), seed + 1000
+    for engaged, ds, cfg, op_seed in _digest_cases():
+        if engaged:
+            yield ds, cfg, op_seed
+
+
+def test_batch_answers_equal_the_oracle():
+    # the witness too: a matched query keeps its least (distance, database
+    # index) among the verified candidates, the brute-force tie rule
+    for ds, cfg, op_seed in _engaged_batch_cases():
+        res = batch_nn(ds.red, ds.blue, cfg, np.random.default_rng(op_seed))
+        assert res.meta["mode"] == "poly"
+        assert res.entries == batch_nn_bruteforce(ds.red, ds.blue).entries
 
 
 # (s, d, reds, blues, data seed, zero rows): ragged sides; with zero rows
@@ -134,11 +171,18 @@ REDUCTION_CASES = (
     (2, 4, 15, 10, 705, (0, 4)),
     (2, 5, 9, 7, 706, (3, 4)),
 )
-# recorded before the reductions walked their weight buckets in one generator
-REDUCTIONS_DIGEST = "54e10546d436afa870f52edbc48ad2f2727b3926ae62d30837b4b4b404aa98df"
+# the answers of the Hamming reductions (every call but l1), with their
+# trailing draws, recorded before the reductions walked their weight
+# buckets in one generator
+HAMMING_REDUCTIONS_DIGEST = "d78c51e5ed9ad915638dfbedc08a7c737f05ae393c3bffb34679b1782671d701"
+# the l1 batch answers with their trailing draws, recorded when a batch made
+# one decision per distance level
+L1_REDUCTIONS_DIGEST = "7951c32d5a233ab3739c6ec819ac5bc897987639f08bd25844842374180a21f1"
 
 
 def _reduction_answers():
+    """(Hamming reduction answers, l1 batch answers), each with the draw
+    that follows it."""
     from polyham.reductions import (
         IntVector,
         extreme_inner_product,
@@ -147,7 +191,7 @@ def _reduction_answers():
         max_jaccard_pair,
     )
 
-    answers = []
+    hamming, l1 = [], []
     for s, d, n_red, n_blue, seed, (red_zeros, blue_zeros) in REDUCTION_CASES:
         rng = np.random.default_rng(seed)
 
@@ -163,21 +207,20 @@ def _reduction_answers():
         cfg = ClosestPairConfig(s=s, rounds=7)
 
         calls = (
-            lambda r: extreme_inner_product(ds, "max", cfg, r),
-            lambda r: extreme_inner_product(ds, "min", cfg, r),
-            lambda r: find_orthogonal_pair(ds, cfg, r),
-            lambda r: max_jaccard_pair(ds, cfg, r),
-            lambda r: l1_batch_nn(db, queries, cfg, r).entries,
+            (hamming, lambda r: extreme_inner_product(ds, "max", cfg, r)),
+            (hamming, lambda r: extreme_inner_product(ds, "min", cfg, r)),
+            (hamming, lambda r: find_orthogonal_pair(ds, cfg, r)),
+            (hamming, lambda r: max_jaccard_pair(ds, cfg, r)),
+            (l1, lambda r: l1_batch_nn(db, queries, cfg, r).entries),
         )
-        for call in calls:
+        for answers, call in calls:
             op_rng = np.random.default_rng(seed + 1000)
             # the trailing draw pins how much of the stream the call took
             answers.append((call(op_rng), int(op_rng.integers(1 << 62))))
-    return answers
+    return hamming, l1
 
 
 def test_reductions_answer_digest():
-    import hashlib
-
-    answers = _reduction_answers()
-    assert hashlib.sha256(repr(answers).encode()).hexdigest() == REDUCTIONS_DIGEST
+    hamming, l1 = _reduction_answers()
+    assert _digest(hamming) == HAMMING_REDUCTIONS_DIGEST
+    assert _digest(l1) == L1_REDUCTIONS_DIGEST

@@ -762,13 +762,66 @@ def test_batch_nn_reports_decisions(monkeypatch):
     assert res.meta["decisions"] == 0
 
 
+def test_batch_makes_one_decision_per_level_over_the_unmatched(monkeypatch):
+    # the walk goes up from k = 0; each decision's sides are the whole
+    # database and exactly the queries no earlier decision matched, and a
+    # query at distance d from every database vector is left to the scan
+    import polyham.neighbors as neighbors
+
+    decide = neighbors._poly_close_pair
+    d = 4
+    zeros, ones = BitVector.zeros(d), BitVector(d, (1 << d) - 1)
+    ds = random_dataset(np.random.default_rng(32), 20, d)
+    for db, queries, scans in (
+        (list(ds.red[:13]), list(ds.blue[:17]), 0),
+        ([zeros] * 3, [ones, zeros, BitVector(d, 2), ones], 2),
+    ):
+        calls = []
+        monkeypatch.setattr(neighbors, "_poly_close_pair", lambda *a: calls.append(a) or decide(*a))
+        res = batch_nn(db, queries, ENGAGED_S2_CFG, np.random.default_rng(4))
+        assert res.meta["mode"] == "poly"
+        assert res.meta["decisions"] == len(calls)
+        assert res.meta["unmatched_scans"] == scans
+        assert res.entries == batch_nn_bruteforce(db, queries).entries
+        left = list(range(len(queries)))
+        twin = np.random.default_rng(4)
+        for level, (red, blue, dim, k, s, rounds, _) in enumerate(calls):
+            assert (dim, k, s, rounds) == (d, level, 2, ENGAGED_S2_CFG.rounds)
+            np.testing.assert_array_equal(red, pack_vectors(db, d))
+            np.testing.assert_array_equal(blue, pack_vectors([queries[j] for j in left], d))
+            keys = decide(red, blue, dim, k, s, rounds, twin)
+            left = [j for j, key in zip(left, keys.tolist()) if key == neighbors.NO_PAIR]
+        assert len(left) == scans
+        assert len(calls) == d if scans else len(calls) <= d
+
+
+def test_batch_takes_each_querys_least_candidate(monkeypatch):
+    # with every cell flagged, every member pair the exact block marks close
+    # is a candidate, so each query must retire at its first level with its
+    # least (distance, database index): the brute-force entry.  Sides are
+    # ragged, and a 200-byte budget splits the tiles and candidate chunks.
+    import polyham.neighbors as neighbors
+
+    monkeypatch.setattr(neighbors, "_pattern_flags",
+                        lambda pattern, *a: np.ones(pattern.shape[:2], dtype=bool))
+    monkeypatch.setattr(neighbors, "DISTANCE_BUDGET_BYTES", 200)
+    rng = np.random.default_rng(33)
+    for s, d, n, m in ((1, 5, 7, 9), (2, 4, 9, 5), (3, 6, 10, 8), (2, 3, 11, 14)):
+        db = [BitVector.random(rng, d) for _ in range(n)]
+        queries = [BitVector.random(rng, d) for _ in range(m)]
+        cfg = ClosestPairConfig(s=s, rounds=3)
+        res = batch_nn(db, queries, cfg, np.random.default_rng(s))
+        assert res.meta["mode"] == "poly" and res.meta["unmatched_scans"] == 0
+        assert res.entries == batch_nn_bruteforce(db, queries).entries
+
+
 def test_red_tiles_give_the_same_pair(monkeypatch):
     # a budget of a few hundred bytes splits a decision into one red group
     # per tile; the votes, flags and verified pair are those of one tile.
     # Reds are all ones and blues have weight <= 1, except one late red
     # planted at distance 1 from a blue, so a tile must keep its offset.
     import polyham.neighbors as neighbors
-    from polyham.neighbors import _poly_close_pair
+    from polyham.neighbors import _least_pair, _poly_close_pair
 
     rng = np.random.default_rng(26)
     for s, d in ((1, 6), (2, 4), (17, 2)):
@@ -782,12 +835,12 @@ def test_red_tiles_give_the_same_pair(monkeypatch):
             args = (*packed, d, k, s, 9)
             with monkeypatch.context() as m:
                 products = spy(m, neighbors, "eval_sides")
-                one_tile = _poly_close_pair(*args, np.random.default_rng(k))
+                one_tile = _least_pair(_poly_close_pair(*args, np.random.default_rng(k)), 40)
             assert len(products) == 1
             with monkeypatch.context() as m:
                 m.setattr(neighbors, "DISTANCE_BUDGET_BYTES", 200)
                 products = spy(m, neighbors, "eval_sides")
-                tiled = _poly_close_pair(*args, np.random.default_rng(k))
+                tiled = _least_pair(_poly_close_pair(*args, np.random.default_rng(k)), 40)
             assert len(products) == -(-len(red) // s)  # one product per tile
             assert tiled == one_tile
             if k == 1:
@@ -800,7 +853,7 @@ def test_verification_never_trusts_the_product(monkeypatch):
     # is the brute-force best pair within k, or None.  Sides are ragged, and
     # a 200-byte budget splits the tiles and the candidate chunks.
     import polyham.neighbors as neighbors
-    from polyham.neighbors import _brute_close_pair, _poly_close_pair
+    from polyham.neighbors import _brute_close_pair, _least_pair, _poly_close_pair
 
     monkeypatch.setattr(neighbors, "_pattern_flags",
                         lambda pattern, *a: np.ones(pattern.shape[:2], dtype=bool))
@@ -816,7 +869,8 @@ def test_verification_never_trusts_the_product(monkeypatch):
                     mp.setattr(neighbors, "DISTANCE_BUDGET_BYTES", budget)
                 verified = spy(mp, neighbors, "packed_distance_matrix")
                 for k in range(d):
-                    got = _poly_close_pair(red, blue, d, k, s, 3, np.random.default_rng(k))
+                    keys = _poly_close_pair(red, blue, d, k, s, 3, np.random.default_rng(k))
+                    got = _least_pair(keys, n)
                     assert got == _brute_close_pair(red, blue, k)
             if budget is None:
                 assert len(verified) == d  # one tile, one chunk of candidates
@@ -831,7 +885,7 @@ def test_decision_memory_is_bounded_by_the_budget(s, n, k):
     # d = 4, k = 3, where nearly every group pair is flagged and verified
     import tracemalloc
 
-    from polyham.neighbors import _poly_close_pair
+    from polyham.neighbors import _least_pair, _poly_close_pair
     from polyham.vectors import DISTANCE_BUDGET_BYTES
 
     d = 4
@@ -842,9 +896,10 @@ def test_decision_memory_is_bounded_by_the_budget(s, n, k):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        got = _poly_close_pair(*args, np.random.default_rng(1))
+        keys = _poly_close_pair(*args, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    got = _least_pair(keys, n)
     assert got is not None and got[2] <= k
     assert peak < 2 * DISTANCE_BUDGET_BYTES
